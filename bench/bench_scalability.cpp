@@ -11,11 +11,9 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <optional>
 
 #include "bench_util.hpp"
 #include "flov/flov_network.hpp"
-#include "noc/ipc/shm_arena.hpp"
 #include "rp/rp_network.hpp"
 #include "traffic/gating_scenario.hpp"
 #include "traffic/synthetic_traffic.hpp"
@@ -76,23 +74,20 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
   const Cycle total = cfg.get_int("measure", 30000) + 10000;
-  // threads= : per-run domain workers (noc.step_threads) for every cell.
+  // threads= : comma list of per-run domain-worker counts
+  //            (noc.step_threads); each value adds a full row set.
   // tiles=TXxTY : explicit tile-domain grid (default: auto row bands).
-  // procs= : comma list of forked stepping-process counts; each value adds
-  //          a full row set (docs/PERFORMANCE.md, "Multi-process
-  //          stepping"). Default "1" — single-process, no arena.
   // Results are bit-identical at any value; only wall time changes.
-  const int threads = static_cast<int>(cfg.get_int("threads", 1));
+  const std::vector<int> threads_list =
+      parse_int_list(cfg.get_string("threads", "1"));
+  const int nthreads = static_cast<int>(threads_list.size());
   const std::string tiles = cfg.get_string("tiles", "");
-  const std::vector<int> procs_list =
-      parse_int_list(cfg.get_string("procs", "1"));
-  const int nprocs = static_cast<int>(procs_list.size());
   // Budget the cell pool against the intra-run workers so the bench does
-  // not oversubscribe (jobs x procs x threads ~ core count).
-  const int max_procs =
-      *std::max_element(procs_list.begin(), procs_list.end());
+  // not oversubscribe (jobs x threads ~ core count).
+  const int max_threads =
+      *std::max_element(threads_list.begin(), threads_list.end());
   const int jobs = resolve_jobs(static_cast<int>(cfg.get_int("jobs", 0)),
-                                threads, max_procs);
+                                max_threads);
   ManifestSink sink(argc, argv, "bench_scalability");
 
   // sizes= : comma list of mesh edge lengths. The 32/64 rows are the
@@ -102,33 +97,22 @@ int main(int argc, char** argv) {
       parse_int_list(cfg.get_string("sizes", "4,8,12,16,32,64"));
   const int nsizes = static_cast<int>(sizes.size());
 
-  // One pooled task per (procs, mesh size, system) cell; each builds and
-  // drives its own network end to end. procs>1 cells heap-allocate the
-  // network under a shared-memory arena scope (the multi-process stepper
-  // forks workers that must share the network's pages) and tear the
-  // network down before the arena unmaps.
+  // One pooled task per (threads, mesh size, system) cell; each builds and
+  // drives its own network end to end.
   struct Row {
     Result rp, gf;
     Cycle rp_reconfig = 0;
     double rp_wall = 0.0, gf_wall = 0.0;
   };
-  std::vector<Row> rows(static_cast<std::size_t>(nprocs * nsizes));
-  parallel_run(2 * nsizes * nprocs, jobs, [&](int i) {
+  std::vector<Row> rows(static_cast<std::size_t>(nthreads * nsizes));
+  parallel_run(2 * nsizes * nthreads, jobs, [&](int i) {
     const int cell = i / 2;
     const int k = sizes[cell % nsizes];
-    const int procs = procs_list[cell / nsizes];
     NocParams p;
     p.width = k;
     p.height = k;
-    p.step_threads = threads;
-    p.step_procs = procs;
+    p.step_threads = threads_list[cell / nsizes];
     p.apply_tiles_shorthand(tiles);
-    std::shared_ptr<ipc::ShmArena> arena;
-    std::optional<ipc::ShmArenaScope> scope;
-    if (procs > 1) {
-      arena = ipc::ShmArena::create();
-      scope.emplace(arena.get());
-    }
     const auto start = std::chrono::steady_clock::now();
     if (i % 2 == 0) {
       // RP: Phase-I grows with the router count (route computation at the
@@ -138,7 +122,7 @@ int main(int argc, char** argv) {
       auto rp = std::make_unique<RpNetwork>(p, EnergyParams{}, fm);
       rows[cell].rp = drive(*rp, p, /*change_at=*/20000, total, 11);
       rows[cell].rp_reconfig = rp->fabric_manager().last_reconfig_duration();
-      rp.reset();  // join worker procs before the arena unmaps
+      rp.reset();  // teardown (joins step workers) counts toward wall time
       rows[cell].rp_wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -158,20 +142,19 @@ int main(int argc, char** argv) {
   print_header(
       "Scalability — one gating change mid-run, distributed gFLOV vs "
       "centralized RP");
-  std::printf("(step threads per run: %d, tiles: %s)\n", threads,
-              tiles.empty() ? "auto" : tiles.c_str());
-  std::printf("%-8s %5s | %12s %12s %14s %9s | %12s %12s %9s\n", "mesh",
-              "procs", "RP latency", "RP peak", "RP reconfig", "RP wall",
+  std::printf("(tiles: %s)\n", tiles.empty() ? "auto" : tiles.c_str());
+  std::printf("%-8s %7s | %12s %12s %14s %9s | %12s %12s %9s\n", "mesh",
+              "threads", "RP latency", "RP peak", "RP reconfig", "RP wall",
               "gFLOV lat", "gFLOV peak", "gF wall");
 
-  for (int pi = 0; pi < nprocs; ++pi) {
+  for (int ti = 0; ti < nthreads; ++ti) {
     for (int i = 0; i < nsizes; ++i) {
-      const Row& row = rows[static_cast<std::size_t>(pi * nsizes + i)];
+      const Row& row = rows[static_cast<std::size_t>(ti * nsizes + i)];
       const int k = sizes[i];
       std::printf(
-          "%-8s %5d | %12.2f %12.2f %14llu %8.2fs | %12.2f %12.2f %8.2fs\n",
+          "%-8s %7d | %12.2f %12.2f %14llu %8.2fs | %12.2f %12.2f %8.2fs\n",
           (std::to_string(k) + "x" + std::to_string(k)).c_str(),
-          procs_list[pi], row.rp.avg_latency, row.rp.peak_window,
+          threads_list[ti], row.rp.avg_latency, row.rp.peak_window,
           static_cast<unsigned long long>(row.rp_reconfig), row.rp_wall,
           row.gf.avg_latency, row.gf.peak_window, row.gf_wall);
     }
@@ -180,21 +163,20 @@ int main(int argc, char** argv) {
               "mesh; gFLOV's distributed handshake does not.\n");
 
   if (sink.enabled()) {
-    // Reuse the sweep-manifest shape: one point per (procs, mesh, scheme)
+    // Reuse the sweep-manifest shape: one point per (threads, mesh, scheme)
     // cell, with the bench figures as per-point gauges (wall_seconds
     // included — this artifact records performance, it is not a
     // determinism gate).
     std::vector<SyntheticExperimentConfig> points;
     std::vector<RunResult> results;
-    for (int pi = 0; pi < nprocs; ++pi) {
+    for (int ti = 0; ti < nthreads; ++ti) {
       for (int i = 0; i < nsizes; ++i) {
-        const Row& row = rows[static_cast<std::size_t>(pi * nsizes + i)];
+        const Row& row = rows[static_cast<std::size_t>(ti * nsizes + i)];
         for (int s = 0; s < 2; ++s) {
           SyntheticExperimentConfig ex;
           ex.noc.width = sizes[i];
           ex.noc.height = sizes[i];
-          ex.noc.step_threads = threads;
-          ex.noc.step_procs = procs_list[pi];
+          ex.noc.step_threads = threads_list[ti];
           ex.noc.apply_tiles_shorthand(tiles);
           ex.pattern = "uniform";
           ex.inj_rate_flits = 0.02;
@@ -207,8 +189,7 @@ int main(int argc, char** argv) {
           r.metrics = std::make_shared<telemetry::MetricsRegistry>();
           r.metrics->gauge("bench.avg_latency") = res.avg_latency;
           r.metrics->gauge("bench.peak_window") = res.peak_window;
-          r.metrics->gauge("bench.step_threads") = threads;
-          r.metrics->gauge("bench.step_procs") = procs_list[pi];
+          r.metrics->gauge("bench.step_threads") = threads_list[ti];
           r.metrics->gauge("bench.step_tiles_x") = ex.noc.step_tiles_x;
           r.metrics->gauge("bench.step_tiles_y") = ex.noc.step_tiles_y;
           r.metrics->gauge("bench.wall_seconds") =

@@ -17,7 +17,7 @@
 //
 // Keys:
 //   scheme= pattern= inj= gated= k= warmup= cycles= drain=
-//   sim.max_cycles_hard= threads= procs= plus any noc.*/energy.*/fault.*/
+//   sim.max_cycles_hard= threads= tiles= plus any noc.*/energy.*/fault.*/
 //   verify.*/telemetry.* key (noc.reliable defaults ON here: delivery
 //   certification needs the packet accounting).
 //   metric=delivery|clean_delivery|run_survival confidence=0.95
@@ -46,6 +46,10 @@ int main(int argc, char** argv) {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
+  if (const std::string err = cfg.retired_key_error(); !err.empty()) {
+    std::fprintf(stderr, "flov_certify_cli: %s\n", err.c_str());
+    return 1;
+  }
 
   SyntheticExperimentConfig base;
   base.noc = NocParams::from_config(cfg);
@@ -55,8 +59,6 @@ int main(int argc, char** argv) {
   if (!cfg.has("noc.reliable")) base.noc.reliable = true;
   base.noc.step_threads =
       static_cast<int>(cfg.get_int("threads", base.noc.step_threads));
-  base.noc.step_procs =
-      static_cast<int>(cfg.get_int("procs", base.noc.step_procs));
   base.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
   if (cfg.has("k")) {
     base.noc.width = static_cast<int>(cfg.get_int("k"));
@@ -71,11 +73,6 @@ int main(int argc, char** argv) {
   base.measure = cfg.get_int("cycles", 2500);
   base.drain_max = cfg.get_int("drain", 30000);
   base.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", 200000);
-  // Self-healing knobs (volatile — excluded from replication fingerprints).
-  base.snapshot_period = cfg.get_int("sim.snapshot_period", 0);
-  base.runstate_path = cfg.get_string("runstate", "");
-  base.max_recoveries =
-      static_cast<int>(cfg.get_int("sim.max_recoveries", base.max_recoveries));
   base.faults = FaultParams::from_config(cfg);
   base.verifier = VerifierOptions::from_config(cfg);
   // A fatal verifier would abort the whole campaign on one bad

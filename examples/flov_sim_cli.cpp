@@ -36,10 +36,6 @@ void print_usage() {
       "  tiles=<TX>x<TY>                  explicit tile-domain grid, e.g.\n"
       "                                   tiles=2x4 (volatile; default "
       "auto)\n"
-      "  procs=<n>                        forked stepping processes over a\n"
-      "                                   shared-memory barrier (volatile;\n"
-      "                                   each runs threads= workers; exit\n"
-      "                                   code 3 if a worker dies mid-run)\n"
       "\n"
       "Simulation bounds (PROTOCOL.md \xc2\xa7" "8):\n"
       "  drain=<cycles>             post-run drain budget: keep stepping\n"
@@ -49,23 +45,8 @@ void print_usage() {
       "                             with a structured incident + partial\n"
       "                             stats instead of a process abort\n"
       "\n"
-      "Self-healing (docs/RELIABILITY.md, \"Runtime self-healing\"):\n"
-      "  sim.snapshot_period=<n>    in-run checkpoint period in cycles\n"
-      "                             (0 = off); with procs= a lost worker\n"
-      "                             or poisoned arena is healed from the\n"
-      "                             last checkpoint — the recovered run's\n"
-      "                             manifest is byte-identical to an\n"
-      "                             undisturbed one (volatile knob)\n"
-      "  runstate=<path>            also persist each checkpoint as a\n"
-      "                             flyover-runstate-v1 blob (path.0/.1\n"
-      "                             slots + JSONL index at <path>)\n"
-      "  sim.max_recoveries=<n>     self-healing budget per run (3)\n"
-      "\n"
-      "Exit codes: 0 = clean run (including disturbed-but-recovered runs);\n"
-      "  1 = usage/config error or ordinary failure; 3 = a stepping worker\n"
-      "  died (or the arena was poisoned) and self-healing was off,\n"
-      "  exhausted, or snapshotless — stats are partial, manifest records\n"
-      "  the worker_lost/arena_poisoned incident.\n"
+      "Exit codes: 0 = run completed; 1 = usage/config error (including\n"
+      "  a removed knob such as procs=) or ordinary failure.\n"
       "\n"
       "Reliable delivery (noc.reliable=1, PROTOCOL.md \xc2\xa7" "8):\n"
       "  noc.reliable=0|1           per-flow seq numbers, retransmit\n"
@@ -125,17 +106,19 @@ int main(int argc, char** argv) {
   }
   Config cfg;
   cfg.parse_args(argc, argv);
+  if (const std::string err = cfg.retired_key_error(); !err.empty()) {
+    std::fprintf(stderr, "flov_sim_cli: %s\n", err.c_str());
+    return 1;
+  }
 
   SyntheticExperimentConfig ex;
   ex.noc = NocParams::from_config(cfg);
   // threads= is shorthand for noc.step_threads=, tiles=TXxTY for
-  // noc.step_tiles_x/y=, procs= for noc.step_procs= (intra-run domain
-  // workers / explicit tile grid / forked stepping processes;
+  // noc.step_tiles_x/y= (intra-run domain workers / explicit tile grid;
   // bit-identical results at any value — see docs/PERFORMANCE.md).
   ex.noc.step_threads =
       static_cast<int>(cfg.get_int("threads", ex.noc.step_threads));
   ex.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
-  ex.noc.step_procs = static_cast<int>(cfg.get_int("procs", ex.noc.step_procs));
   ex.energy = EnergyParams::from_config(cfg);
   ex.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
   ex.pattern = cfg.get_string("pattern", "uniform");
@@ -147,10 +130,6 @@ int main(int argc, char** argv) {
   ex.timeline_window = cfg.get_int("timeline", 0);
   ex.drain_max = cfg.get_int("drain", 0);
   ex.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", 0);
-  ex.snapshot_period = cfg.get_int("sim.snapshot_period", 0);
-  ex.runstate_path = cfg.get_string("runstate", "");
-  ex.max_recoveries =
-      static_cast<int>(cfg.get_int("sim.max_recoveries", ex.max_recoveries));
   ex.faults = FaultParams::from_config(cfg);
   ex.verifier = VerifierOptions::from_config(cfg);
   ex.verify = cfg.get_bool("verify", ex.verify);
@@ -257,20 +236,7 @@ int main(int argc, char** argv) {
                 r.dead_routers, r.dead_links,
                 static_cast<unsigned long long>(r.wake_requests_dropped));
   }
-  if (r.recoveries > 0) {
-    // Volatile, stderr-only: the run's stdout/manifest must stay
-    // byte-identical to an undisturbed run.
-    std::fprintf(stderr,
-                 "[selfheal] run recovered %llu time(s); %.3f s spent in "
-                 "restore+respawn\n",
-                 static_cast<unsigned long long>(r.recoveries),
-                 static_cast<double>(r.recovery_wall_ns) / 1e9);
-  }
-  if (r.worker_lost) {
-    std::printf("ABORTED at cycle %llu (stepping worker process died; see "
-                "the worker_lost incident); stats are partial\n",
-                static_cast<unsigned long long>(r.cycles_run));
-  } else if (r.aborted) {
+  if (r.aborted) {
     std::printf("ABORTED at cycle %llu (sim.max_cycles_hard); stats are "
                 "partial\n",
                 static_cast<unsigned long long>(r.cycles_run));
@@ -316,15 +282,10 @@ int main(int argc, char** argv) {
     // manifest's config so two runs can never silently differ on one.
     // Ops-plane keys are stripped first: serving /metrics or profiling a
     // run must leave its manifest byte-identical to a plain run's.
-    // Self-healing keys are volatile for the same reason: a disturbed run
-    // that recovered must produce a byte-identical manifest to an
-    // undisturbed run launched without them.
     Config mcfg;
     for (const std::string& k : cfg.keys()) {
       if (k == "serve" || k == "ops_stream" || k == "profile" ||
-          k == "profile_out" || k == "ops.period" ||
-          k == "sim.snapshot_period" || k == "runstate" ||
-          k == "sim.max_recoveries") {
+          k == "profile_out" || k == "ops.period") {
         continue;
       }
       mcfg.set(k, cfg.get_string(k));
@@ -339,10 +300,5 @@ int main(int argc, char** argv) {
     m.write(manifest_out);
     std::printf("manifest: %s\n", manifest_out.c_str());
   }
-  // A stepping worker process dying mid-run is an infrastructure failure,
-  // not a simulation result: the stats above are partial and the manifest
-  // (if any) records the worker_lost incident. Distinct exit code so
-  // sweeping scripts can tell it from a clean run (0) or a usage error.
-  if (r.worker_lost) return 3;
   return 0;
 }

@@ -21,7 +21,7 @@
 //                                      from S via derive_replication_seed
 //                                      (overrides seeds=; what the certify
 //                                      harness builds on)
-//   warmup= cycles= timeline= drain= sim.max_cycles_hard= threads= procs=
+//   warmup= cycles= timeline= drain= sim.max_cycles_hard= threads= tiles=
 //   jobs=N retries=N retry_backoff_ms=N checkpoint=path resume=0|1
 //   manifest=path                      flyover-sweep-manifest-v1
 //   progress=1                         deterministic stderr progress lines
@@ -64,13 +64,15 @@ int main(int argc, char** argv) {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
+  if (const std::string err = cfg.retired_key_error(); !err.empty()) {
+    std::fprintf(stderr, "flov_sweep_cli: %s\n", err.c_str());
+    return 1;
+  }
 
   SyntheticExperimentConfig base;
   base.noc = NocParams::from_config(cfg);
   base.noc.step_threads =
       static_cast<int>(cfg.get_int("threads", base.noc.step_threads));
-  base.noc.step_procs =
-      static_cast<int>(cfg.get_int("procs", base.noc.step_procs));
   base.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
   base.energy = EnergyParams::from_config(cfg);
   base.warmup = cfg.get_int("warmup", 10000);
@@ -78,12 +80,6 @@ int main(int argc, char** argv) {
   base.timeline_window = cfg.get_int("timeline", 0);
   base.drain_max = cfg.get_int("drain", 0);
   base.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", 0);
-  // Self-healing knobs (volatile — excluded from point fingerprints, so a
-  // sweep resumed with different values reuses its checkpoints).
-  base.snapshot_period = cfg.get_int("sim.snapshot_period", 0);
-  base.runstate_path = cfg.get_string("runstate", "");
-  base.max_recoveries =
-      static_cast<int>(cfg.get_int("sim.max_recoveries", base.max_recoveries));
   base.faults = FaultParams::from_config(cfg);
   base.verifier = VerifierOptions::from_config(cfg);
   base.verify = cfg.get_bool("verify", base.verify);

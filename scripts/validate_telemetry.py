@@ -25,14 +25,12 @@ must not fall below the checked-in floor. With --expect-early-stop,
 fails unless the sequential rule resolved before the replication cap.
 
 --diff-manifests: strips the VOLATILE fields (wall_seconds, jobs,
-trace_path, threads/tiles/procs, noc.step_threads, noc.step_tiles_x/y,
-noc.step_procs — the only fields allowed to
-differ between a serial and a parallel run/sweep of the same
-configuration) recursively from both documents, then compares
-byte-for-byte. Exit 1 on any other difference: this is the
-serial-vs-parallel determinism gate, for sweep-level (jobs=),
-intra-run (threads= domain workers) and multi-process (procs= forked
-stepping workers) parallelism.
+trace_path, threads/tiles, noc.step_threads, noc.step_tiles_x/y — the
+only fields allowed to differ between a serial and a parallel run/sweep
+of the same configuration) recursively from both documents, then
+compares byte-for-byte. Exit 1 on any other difference: this is the
+serial-vs-parallel determinism gate, for sweep-level (jobs=) and
+intra-run (threads= / tiles= domain workers) parallelism.
 
 --snapshot: validates flyover-snapshot-v1 documents from the ops
 plane's /snapshot endpoint or an ops_stream= JSONL flight recording
@@ -40,14 +38,6 @@ plane's /snapshot endpoint or an ops_stream= JSONL flight recording
 tag, required scalar fields, and — for run-mode snapshots — that every
 node array has exactly width*height entries. Also accepts
 flyover-heatmap-v1 documents from /heatmap (grid shape check).
-
---runstate: validates a flyover-runstate-v1 checkpoint set written by
-runstate=<path>: the JSONL index at <path> (schema tag, seq strictly
-increasing from 1, strictly increasing cycles, constant config
-fingerprint, slot = seq %% 2; a torn final line — crash mid-append —
-is tolerated and reported) and the newest still-on-disk slot file
-(magic, header consistency with its index line, FNV-1a checksum over
-the arena + region images).
 
 --prometheus: validates a Prometheus text-exposition (0.0.4) document
 from /metrics: every sample line parses as `name value`, every sample
@@ -63,8 +53,7 @@ import sys
 
 VOLATILE_KEYS = {"wall_seconds", "jobs", "trace_path", "threads",
                  "noc.step_threads", "tiles", "noc.step_tiles_x",
-                 "noc.step_tiles_y", "procs", "noc.step_procs",
-                 "sim.snapshot_period", "runstate", "sim.max_recoveries"}
+                 "noc.step_tiles_y"}
 
 RUN_SCHEMA = "flyover-run-manifest-v1"
 SWEEP_SCHEMA = "flyover-sweep-manifest-v1"
@@ -410,107 +399,6 @@ def validate_prometheus(path):
           % (path, len(seen)))
 
 
-RUNSTATE_SCHEMA = "flyover-runstate-v1"
-RUNSTATE_SLOT_MAGIC = b"FLOVRUN1"
-
-
-def fnv1a(data, h=1469598103934665603):
-    for byte in data:
-        h = ((h ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def validate_runstate(path):
-    """Validate a runstate=<path> checkpoint set: JSONL index + newest slot."""
-    try:
-        with open(path, "rb") as f:
-            raw_lines = f.read().split(b"\n")
-    except OSError as e:
-        fail("%s: cannot read runstate index: %s" % (path, e))
-    entries = []
-    torn = 0
-    for i, raw in enumerate(raw_lines):
-        if not raw.strip():
-            continue
-        try:
-            entries.append((i + 1, json.loads(raw)))
-        except ValueError:
-            # Only the FINAL line may be torn (the writer appends whole
-            # lines; a crash mid-append leaves at most one partial tail).
-            if i == len(raw_lines) - 1 or all(
-                    not l.strip() for l in raw_lines[i + 1:]):
-                torn = 1
-            else:
-                fail("%s:%d: unparseable non-final index line" % (path, i + 1))
-    if not entries:
-        fail("%s: no intact index lines" % path)
-    fingerprint = None
-    prev_seq = 0
-    prev_cycle = -1
-    for lineno, e in entries:
-        for field in ("schema", "seq", "cycle", "fingerprint", "slot",
-                      "bytes", "checksum"):
-            if field not in e:
-                fail("%s:%d: missing field %r" % (path, lineno, field))
-        if e["schema"] != RUNSTATE_SCHEMA:
-            fail("%s:%d: schema %r, want %r"
-                 % (path, lineno, e["schema"], RUNSTATE_SCHEMA))
-        if e["seq"] != prev_seq + 1:
-            fail("%s:%d: seq %s after %s (must increase by 1 from 1)"
-                 % (path, lineno, e["seq"], prev_seq))
-        prev_seq = e["seq"]
-        if e["cycle"] <= prev_cycle and prev_cycle >= 0:
-            fail("%s:%d: cycle %s not above previous %s"
-                 % (path, lineno, e["cycle"], prev_cycle))
-        prev_cycle = e["cycle"]
-        if fingerprint is None:
-            fingerprint = e["fingerprint"]
-        elif e["fingerprint"] != fingerprint:
-            fail("%s:%d: fingerprint changed mid-run (%s -> %s)"
-                 % (path, lineno, fingerprint, e["fingerprint"]))
-        if e["slot"] != e["seq"] % 2:
-            fail("%s:%d: slot %s, want seq %% 2 = %s"
-                 % (path, lineno, e["slot"], e["seq"] % 2))
-    # The newest index entry's slot file is the one double-buffering
-    # guarantees intact; verify it end-to-end.
-    last = entries[-1][1]
-    slot_path = "%s.%d" % (path, last["slot"])
-    try:
-        with open(slot_path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        fail("%s: cannot read newest slot: %s" % (slot_path, e))
-    if blob[:8] != RUNSTATE_SLOT_MAGIC:
-        fail("%s: bad slot magic %r" % (slot_path, blob[:8]))
-    import struct
-    if len(blob) < 8 + 6 * 8:
-        fail("%s: truncated slot header" % slot_path)
-    seq, cycle, fp, arena_bytes, region_bytes, checksum = struct.unpack(
-        "<6Q", blob[8:8 + 48])
-    if seq != last["seq"] or cycle != last["cycle"]:
-        fail("%s: slot header (seq %d, cycle %d) disagrees with index "
-             "(seq %d, cycle %d)"
-             % (slot_path, seq, cycle, last["seq"], last["cycle"]))
-    if "0x%016x" % fp != last["fingerprint"]:
-        fail("%s: slot fingerprint 0x%016x != index %s"
-             % (slot_path, fp, last["fingerprint"]))
-    body = blob[8 + 48:]
-    if len(body) != arena_bytes + region_bytes:
-        fail("%s: %d image bytes on disk, header promises %d"
-             % (slot_path, len(body), arena_bytes + region_bytes))
-    if arena_bytes + region_bytes != last["bytes"]:
-        fail("%s: image size %d != index bytes %d"
-             % (slot_path, arena_bytes + region_bytes, last["bytes"]))
-    actual = fnv1a(body)
-    if actual != checksum or "0x%016x" % checksum != last["checksum"]:
-        fail("%s: checksum mismatch (disk 0x%016x, header 0x%016x, "
-             "index %s)" % (slot_path, actual, checksum, last["checksum"]))
-    print("OK: %s: %d checkpoint(s) up to cycle %d, fingerprint %s, newest "
-          "slot %s verified (%d bytes, checksum good)%s"
-          % (path, len(entries), prev_cycle, fingerprint, slot_path,
-             len(body), "; torn final line tolerated" if torn else ""))
-
-
 def strip_volatile(node):
     if isinstance(node, dict):
         return {k: strip_volatile(v) for k, v in node.items()
@@ -588,17 +476,12 @@ def main():
     ap.add_argument("--prometheus", metavar="FILE",
                     help="validate a Prometheus text exposition from "
                          "/metrics")
-    ap.add_argument("--runstate", metavar="FILE",
-                    help="validate a flyover-runstate-v1 checkpoint index "
-                         "(+ its newest slot file)")
     args = ap.parse_args()
 
     if not (args.trace or args.manifest or args.diff_manifests
-            or args.certificate or args.snapshot or args.prometheus
-            or args.runstate):
+            or args.certificate or args.snapshot or args.prometheus):
         ap.error("nothing to do: pass --trace, --manifest, --certificate, "
-                 "--snapshot, --prometheus, --runstate and/or "
-                 "--diff-manifests")
+                 "--snapshot, --prometheus and/or --diff-manifests")
     if (args.reference or args.expect_early_stop) and not args.certificate:
         ap.error("--reference/--expect-early-stop require --certificate")
     if args.trace:
@@ -612,8 +495,6 @@ def main():
         validate_snapshot(args.snapshot)
     if args.prometheus:
         validate_prometheus(args.prometheus)
-    if args.runstate:
-        validate_runstate(args.runstate)
     if args.diff_manifests:
         diff_manifests(*args.diff_manifests)
 

@@ -129,4 +129,16 @@ std::string Config::to_string() const {
   return os.str();
 }
 
+std::string Config::retired_key_error() const {
+  for (const char* k : kRetiredConfigKeys) {
+    if (has(k)) {
+      return std::string(k) +
+             "= was removed with multi-process stepping; parallelize a run "
+             "with threads= (and tiles=), and resume an interrupted sweep "
+             "with checkpoint= + resume=1";
+    }
+  }
+  return "";
+}
+
 }  // namespace flov

@@ -13,6 +13,12 @@
 
 namespace flov {
 
+/// Keys of removed knobs: multi-process stepping and the self-healing
+/// runtime built on it. See Config::retired_key_error.
+inline constexpr const char* kRetiredConfigKeys[] = {
+    "procs", "noc.step_procs", "sim.snapshot_period", "runstate",
+    "sim.max_recoveries"};
+
 class Config {
  public:
   Config() = default;
@@ -46,6 +52,12 @@ class Config {
 
   /// Renders "key = value" lines sorted by key.
   std::string to_string() const;
+
+  /// Usage-error text naming the first kRetiredConfigKeys entry that is
+  /// set, or "" when none is. Unknown keys are otherwise ignored, so
+  /// drivers check this first: a stale `procs=2` must fail, not run
+  /// serially.
+  std::string retired_key_error() const;
 
  private:
   std::optional<std::string> find(const std::string& key) const;

@@ -8,13 +8,7 @@
 // to serial (docs/PERFORMANCE.md, "The lookahead invariant"): a channel
 // crossing a domain boundary runs in staging mode, where sends land in a
 // sender-private buffer that the barrier merges into the visible queue
-// before any receiver could legally observe them. Under multi-process
-// stepping (noc.step_procs, docs/PERFORMANCE.md "Multi-process stepping")
-// the exact same staging carries traffic BETWEEN processes: the whole
-// network lives in one shared-memory arena, a boundary channel's staging
-// buffer is written by whichever process owns the sending domain, and the
-// parent performs the identical merge after the cross-process barrier —
-// so cross-process transport needs no serialization layer at all.
+// before any receiver could legally observe them.
 #pragma once
 
 #include <functional>

@@ -21,12 +21,6 @@
 // argument as the per-object fields they replace; stripes of routers in
 // different domains can share a cache line only at domain boundaries —
 // the same boundary the WakeList byte array already has.
-//
-// Multi-process stepping (noc.step_procs > 1) leans on the same layout:
-// the slabs — like the rest of the network — are allocated from the
-// MAP_SHARED arena (noc/ipc/shm_arena.hpp), so each forked worker writes
-// its own domains' stripes in genuinely shared pages and the writer
-// partition argument carries over unchanged from threads to processes.
 #pragma once
 
 #include <cstdint>

@@ -3,27 +3,9 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "noc/ipc/shm_arena.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace flov {
-
-namespace {
-
-/// Worker-process-private stepping pool for multi-process mode.
-/// Deliberately NOT a Network member: a pool's threads belong to the
-/// process that created them, and the Network object lives in the shared
-/// arena — if the pool were stored there, the PARENT's Network destructor
-/// would try to join another process's threads. Each forked worker serves
-/// exactly one (network, proc-range) for its whole life, created lazily on
-/// its first epoch and torn down by the kernel at _Exit.
-struct ChildPool {
-  const void* key = nullptr;  ///< the Network this pool was built for
-  std::unique_ptr<StepPool> pool;
-};
-ChildPool g_child_pool;
-
-}  // namespace
 
 Network::Network(const NocParams& params, RoutingFunction* routing,
                  PowerTracker* power)
@@ -32,13 +14,11 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   const int n = geom_.num_nodes();
 
   // Tile-grid domain decomposition. Explicit step_tiles_x/y wins; otherwise
-  // auto-tile from the total worker budget step_procs x step_threads: row
-  // bands first (only N/S links cross a row split), adding columns only
-  // once the worker count exceeds the row count. Sized FIRST: the NIs
-  // below capture pointers into counter_shards_, and nothing here may move
-  // afterwards.
-  const int step_workers =
-      std::max(1, params_.step_procs) * std::max(1, params_.step_threads);
+  // auto-tile from the worker budget step_threads: row bands first (only
+  // N/S links cross a row split), adding columns only once the worker
+  // count exceeds the row count. Sized FIRST: the NIs below capture
+  // pointers into counter_shards_, and nothing here may move afterwards.
+  const int step_workers = params_.step_threads;  // >= 1 (validated)
   if (params_.step_tiles_x > 0 || params_.step_tiles_y > 0) {
     tiles_x_ = std::clamp(std::max(params_.step_tiles_x, 1), 1, params_.width);
     tiles_y_ = std::clamp(std::max(params_.step_tiles_y, 1), 1, params_.height);
@@ -191,40 +171,9 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
         eject_stage_[dom].emplace_back(id, rec);
       });
     }
-  }
-
-  build_pools(params_.step_procs);
-}
-
-void Network::build_pools(int procs) {
-  // Multi-process partition: contiguous domain ranges, one per process,
-  // parent first. Contiguity keeps every range a union of whole tiles, so
-  // the generic boundary-channel staging already covers every
-  // cross-PROCESS edge — a cross-process edge is just a cross-domain edge
-  // whose merge happens to read another process's writes. The tile grid
-  // itself (what determinism depends on) is fixed in the constructor;
-  // recovery may rebuild here with FEWER procs (respawn downshift) without
-  // disturbing results, because manifests are procs-independent by the
-  // staging/merge argument.
-  procs_ = std::clamp(procs, 1, num_domains_);
-  proc_range_.clear();
-  int parent_domains = num_domains_;
-  if (procs_ > 1) {
-    proc_range_.resize(static_cast<std::size_t>(procs_));
-    for (int p = 0; p < procs_; ++p) {
-      proc_range_[p] = {p * num_domains_ / procs_,
-                        (p + 1) * num_domains_ / procs_};
-      FLOV_CHECK(proc_range_[p].first < proc_range_[p].second,
-                 "empty process domain range");
-    }
-    parent_domains = proc_range_[0].second;
-  }
-
-  // The parent's own thread pool steps the rest of ITS range (all domains
-  // when single-process); domain 0 always runs on the calling thread.
-  if (parent_domains > 1) {
+    // Domain 0 steps on the calling thread; the pool steps the rest.
     pool_ = std::make_unique<StepPool>(
-        parent_domains - 1, [this](int w, Cycle now) {
+        num_domains_ - 1, [this](int w, Cycle now) {
 #if defined(FLYOVER_TRACING) && FLYOVER_TRACING
           telemetry::Tracer* t = step_tracer_;
           telemetry::TraceScope scope(t ? t->shard(w + 1) : nullptr);
@@ -235,40 +184,6 @@ void Network::build_pools(int procs) {
           step_domain(w + 1, now);
         });
   }
-
-  if (procs_ > 1) {
-    // The workers read this object and everything it points at, so the
-    // Network must itself live in the shared arena (builder.cpp allocates
-    // the whole system under a ShmArenaScope when step_procs > 1).
-    FLOV_CHECK(ipc::arena_of(this) != nullptr,
-               "step_procs > 1 requires the Network to be built inside the "
-               "shared arena (ShmArenaScope)");
-    proc_pool_ = std::make_unique<ipc::ProcPool>(
-        procs_ - 1, [this](int w, Cycle now) { step_proc_range(w + 1, now); });
-  }
-}
-
-void Network::prepare_for_restore() {
-  // SIGKILL + reap every worker process FIRST: once kill_workers returns
-  // there are provably no other writers in the shared arena, so the
-  // checkpoint restore memcpy cannot race anything. Then tear down the
-  // parent's own pools while their objects are still the live ones (the
-  // restore is about to rewrite this Network with capture-time bytes).
-  if (proc_pool_) proc_pool_->kill_workers();
-  proc_pool_.reset();
-  pool_.reset();
-}
-
-void Network::resume_after_restore(int procs) {
-  // The restore memcpy rewrote this object with its capture-time image,
-  // including pool_/proc_pool_ again pointing at the pools that existed at
-  // capture time — whose threads are joined and processes reaped. Running
-  // their destructors would join dead threads (UB); release the pointers
-  // and leak the stale objects (bounded arena garbage per recovery, freed
-  // wholesale at unmap) before building fresh pools.
-  (void)pool_.release();
-  (void)proc_pool_.release();
-  build_pools(procs);
 }
 
 void Network::step_domain(int dom, Cycle now) {
@@ -309,18 +224,11 @@ void Network::step_domain(int dom, Cycle now) {
   }
 }
 
-void Network::merge_channels() {
-  // Deterministic fold in wiring order; never depends on worker timing.
-  // With procs > 1 this is the shared-memory "transport": the staged
-  // vectors being folded were written by other processes, already visible
-  // through the barrier's release/acquire chain.
-  for (Channel<Flit>* ch : boundary_flit_) ch->merge_staged();
-  for (Channel<Credit>* ch : boundary_credit_) ch->merge_staged();
-}
-
-void Network::merge_events() {
+void Network::merge_staged() {
   // All merges below are deterministic folds in fixed (wiring or node-id)
   // order; none depend on worker timing.
+  for (Channel<Flit>* ch : boundary_flit_) ch->merge_staged();
+  for (Channel<Credit>* ch : boundary_credit_) ch->merge_staged();
   for (auto& stage : wake_stages_) stage.drain_into(router_live_);
   // Ejection replay: each domain's stage is already ascending by node id
   // (stepping order), and domains own disjoint id sets, so a k-way
@@ -350,36 +258,6 @@ void Network::merge_events() {
   for (auto& stage : eject_stage_) stage.clear();
 }
 
-void Network::step_proc_range(int p, Cycle now) {
-  if (p == 0) {
-    // The parent's range always starts at domain 0; its pool (if any) was
-    // sized for exactly this range in the constructor.
-    if (pool_) {
-      pool_->run_cycle(now, [this, now] { step_domain(0, now); });
-    } else {
-      step_domain(0, now);
-    }
-    return;
-  }
-  // Worker-process path. Build this process's own pool on first use (the
-  // pool cannot be a Network member — see ChildPool above). The pool's
-  // threads inherit the forking thread's arena binding via StepPool, so
-  // even their staging-vector growth lands in the shared mapping.
-  const int d0 = proc_range_[static_cast<std::size_t>(p)].first;
-  const int d1 = proc_range_[static_cast<std::size_t>(p)].second;
-  if (d1 - d0 == 1) {
-    step_domain(d0, now);
-    return;
-  }
-  if (g_child_pool.key != this) {
-    g_child_pool.pool = std::make_unique<StepPool>(
-        d1 - d0 - 1,
-        [this, d0](int w, Cycle when) { step_domain(d0 + w + 1, when); });
-    g_child_pool.key = this;
-  }
-  g_child_pool.pool->run_cycle(now, [this, d0, now] { step_domain(d0, now); });
-}
-
 void Network::step(Cycle now) {
   if (num_domains_ == 1) {
     step_domain(0, now);
@@ -396,27 +274,13 @@ void Network::step(Cycle now) {
   step_tracer_ = parent;  // published to workers by the pool's epoch fence
   {
     telemetry::TraceScope scope(parent ? parent->shard(0) : nullptr);
-    if (proc_pool_) {
-      proc_pool_->run_cycle(now, [this, now] { step_proc_range(0, now); });
-    } else {
-      pool_->run_cycle(now, [this, now] { step_domain(0, now); });
-    }
-  }
-#else
-  if (proc_pool_) {
-    proc_pool_->run_cycle(now, [this, now] { step_proc_range(0, now); });
-  } else {
     pool_->run_cycle(now, [this, now] { step_domain(0, now); });
   }
+#else
+  pool_->run_cycle(now, [this, now] { step_domain(0, now); });
 #endif
-  {
-    FLOV_PROFILE(kShmCopy);
-    merge_channels();
-  }
-  {
-    FLOV_PROFILE(kMerge);
-    merge_events();
-  }
+  FLOV_PROFILE(kMerge);
+  merge_staged();
 }
 
 void Network::set_eject_callback(

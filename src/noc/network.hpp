@@ -15,17 +15,6 @@
 // t+1 (docs/PERFORMANCE.md, "The lookahead invariant"), so cross-domain
 // traffic can be staged sender-side and merged at the barrier: the parallel
 // schedule is bit-identical to serial by construction, not by sampling.
-//
-// With params.step_procs > 1 the same decomposition goes multi-process:
-// the tile domains are partitioned into contiguous ranges, the parent
-// keeps range 0 (stepping it with its StepPool exactly as above) and a
-// forked worker process steps each remaining range with a process-private
-// pool of its own, synchronized by a shared-memory per-cycle barrier
-// (noc/ipc/proc_pool.hpp). The whole Network must then live inside the
-// shared arena (noc/ipc/shm_arena.hpp) so a worker's staged sends are the
-// same bytes the parent merges — nothing about the staging/merge protocol
-// changes, so manifests stay byte-identical across any procs choice
-// (docs/PERFORMANCE.md, "Multi-process stepping").
 #pragma once
 
 #include <functional>
@@ -39,7 +28,6 @@
 #include "noc/channel.hpp"
 #include "noc/hot_state.hpp"
 #include "noc/network_interface.hpp"
-#include "noc/ipc/proc_pool.hpp"
 #include "noc/noc_params.hpp"
 #include "noc/router.hpp"
 #include "noc/routing_iface.hpp"
@@ -75,21 +63,6 @@ class Network {
   int domain_of(NodeId id) const { return node_domain_[id]; }
   int tiles_x() const { return tiles_x_; }
   int tiles_y() const { return tiles_y_; }
-
-  /// Multi-process decomposition: processes actually stepping (the
-  /// requested step_procs clamped to the domain count; 1 = single
-  /// process).
-  int step_procs() const { return procs_; }
-  /// Per-process busy nanoseconds so far ([0] = the parent's range; empty
-  /// when single-process). Thread-safe (the ops plane reads it mid-run).
-  std::vector<std::uint64_t> proc_busy_ns() const {
-    return proc_pool_ ? proc_pool_->busy_ns() : std::vector<std::uint64_t>{};
-  }
-  /// max/min busy ratio across processes (1.0 when single-process) — the
-  /// procs= tuning signal surfaced on /healthz and in profile reports.
-  double proc_busy_imbalance() const {
-    return proc_pool_ ? proc_pool_->busy_imbalance() : 1.0;
-  }
 
   /// Advances the fabric by one cycle. Active-set scheduled: routers and
   /// NIs whose step would provably be a no-op (power-gated with empty
@@ -172,18 +145,6 @@ class Network {
     return flit_out_[node][dir_index(d)];
   }
 
-  // --- checkpoint recovery (runstate.hpp; sim.snapshot_period > 0) ---
-  /// Quarantines the fabric before a checkpoint restore: SIGKILLs + reaps
-  /// every worker process (no writers remain in the shared arena) and
-  /// tears down the parent's thread pool. The Network is unusable until
-  /// resume_after_restore().
-  void prepare_for_restore();
-  /// Rebuilds stepping pools after the arena image was restored, possibly
-  /// with a smaller `procs` (respawn downshift). The tile-domain grid is
-  /// unchanged, so results stay byte-identical. Must be called with the
-  /// shared arena scope bound (as during the run).
-  void resume_after_restore(int procs);
-
  private:
   /// One rectangular tile domain: columns [x0, x1) x rows [y0, y1).
   struct DomainRect {
@@ -192,20 +153,9 @@ class Network {
 
   /// Steps domain `dom`'s routers then NIs, in node-id order.
   void step_domain(int dom, Cycle now);
-  /// Steps every domain in process `p`'s contiguous range using that
-  /// process's own thread pool (the parent's pool_ for p == 0, a
-  /// process-private pool for workers — see the ChildPool note in
-  /// network.cpp).
-  void step_proc_range(int p, Cycle now);
-  /// Barrier-side merges, split so the two FLOV_PROFILE scopes stay leaf
-  /// scopes: merge_channels folds the staged boundary channel sends (the
-  /// shared-memory transport when procs > 1 — profiled as shm_copy) and
-  /// merge_events drains wake marks and replays ejections (merge).
-  void merge_channels();
-  void merge_events();
-  /// (Re)builds the procs partition and both stepping pools for `procs`
-  /// processes over the fixed tile-domain grid (constructor + recovery).
-  void build_pools(int procs);
+  /// Barrier-side merge: folds the staged boundary channel sends, drains
+  /// the wake stages and replays ejections.
+  void merge_staged();
 
   NocParams params_;
   MeshGeometry geom_;
@@ -263,20 +213,9 @@ class Network {
   std::vector<std::size_t> eject_merge_pos_;  ///< merge scratch (no alloc)
   std::function<void(const PacketRecord&)> user_eject_cb_;
   std::vector<std::function<void(const PacketRecord&)>> eject_observers_;
-  /// Workers for the rest of the calling PROCESS's domain range (domain 0
-  /// always steps on the calling thread). Single-process: the range is
-  /// all domains; multi-process: the parent's range only, and each worker
-  /// process builds its own pool for its range (process-private — see
-  /// ChildPool in network.cpp).
+  /// Workers for domains 1..num_domains-1 (domain 0 always steps on the
+  /// calling thread); null when there is a single domain.
   std::unique_ptr<StepPool> pool_;
-  // --- multi-process stepping (step_procs > 1) ---
-  int procs_ = 1;
-  /// proc -> contiguous [first, last) domain range it steps.
-  std::vector<std::pair<int, int>> proc_range_;
-  /// Declared after pool_ so it is destroyed FIRST: stopping the worker
-  /// processes (which have pools of their own) must precede joining the
-  /// parent's threads.
-  std::unique_ptr<ipc::ProcPool> proc_pool_;
 #if defined(FLYOVER_TRACING) && FLYOVER_TRACING
   /// The run's tracer while a parallel step is in flight; workers bind
   /// their domain's shard ring from it (published by the pool's epoch

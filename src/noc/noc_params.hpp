@@ -77,15 +77,6 @@ struct NocParams {
   /// bit-identical to serial, so manifests exclude it.
   int step_tiles_x = 0;
   int step_tiles_y = 0;
-  /// Worker PROCESSES for multi-process stepping (1 = single process).
-  /// The tile domains are partitioned into step_procs contiguous ranges;
-  /// the parent steps range 0 and forks a worker per remaining range, all
-  /// sharing the system state through a MAP_SHARED arena under a per-cycle
-  /// futex barrier (docs/PERFORMANCE.md, "Multi-process stepping"). Each
-  /// process still runs its own step_threads pool, so the effective
-  /// parallelism is step_procs x step_threads. Volatile like step_threads:
-  /// manifests are byte-identical across any procs/threads/tiles choice.
-  int step_procs = 1;
 
   /// Applies the CLI shorthand `tiles=TXxTY` (e.g. "2x4" = 2 tile columns
   /// x 4 tile rows) to step_tiles_x/step_tiles_y. Empty string = no-op, so
@@ -153,8 +144,6 @@ struct NocParams {
         static_cast<int>(cfg.get_int("noc.step_tiles_x", p.step_tiles_x));
     p.step_tiles_y =
         static_cast<int>(cfg.get_int("noc.step_tiles_y", p.step_tiles_y));
-    p.step_procs =
-        static_cast<int>(cfg.get_int("noc.step_procs", p.step_procs));
     p.validate();
     return p;
   }
@@ -170,7 +159,6 @@ struct NocParams {
     FLOV_CHECK(step_threads >= 1, "step_threads must be >= 1");
     FLOV_CHECK(step_tiles_x >= 0 && step_tiles_y >= 0,
                "step_tiles must be >= 0 (0 = auto)");
-    FLOV_CHECK(step_procs >= 1, "step_procs must be >= 1");
     FLOV_CHECK(retx_timeout >= 1, "retransmit timeout must be >= 1 cycle");
     FLOV_CHECK(retx_backoff_cap >= 0 && retx_backoff_cap < 32,
                "retransmit backoff cap out of range");

@@ -1,7 +1,6 @@
 #include "noc/step_pool.hpp"
 
 #include "common/log.hpp"
-#include "noc/ipc/shm_arena.hpp"
 
 namespace flov {
 
@@ -16,17 +15,9 @@ constexpr int kSpinBeforeYield = 4096;
 StepPool::StepPool(int workers, std::function<void(int, Cycle)> job)
     : job_(std::move(job)), done_(new DoneSlot[workers > 0 ? workers : 1]) {
   FLOV_CHECK(workers >= 1, "StepPool needs at least one worker");
-  // Propagate the creator's shared-arena binding (if any) into the worker
-  // threads: under procs= mode even a worker thread's incidental
-  // allocations (staging-vector growth) must land in the shared mapping,
-  // or the other processes would fault on private heap pointers.
-  ipc::ShmArena* arena = ipc::thread_arena();
   threads_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i, arena] {
-      ipc::ShmArenaScope scope(arena);
-      worker_loop(i);
-    });
+    threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 

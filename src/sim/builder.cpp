@@ -2,7 +2,6 @@
 
 #include "common/log.hpp"
 #include "flov/flov_network.hpp"
-#include "noc/ipc/shm_arena.hpp"
 #include "rp/rp_network.hpp"
 #include "sim/baseline_network.hpp"
 
@@ -31,12 +30,6 @@ BuiltSystem build_system(Scheme scheme, const NocParams& params,
                          const EnergyParams& energy,
                          std::vector<bool> always_on,
                          const FaultParams& faults) {
-  // Multi-process stepping needs the whole system object graph in the
-  // shared arena; the caller (run_synthetic) is responsible for installing
-  // the ShmArenaScope BEFORE building, so catch a missing one here rather
-  // than letting Network's fork die on private heap pointers.
-  FLOV_CHECK(params.step_procs <= 1 || ipc::thread_arena() != nullptr,
-             "step_procs > 1 requires building under a ShmArenaScope");
   BuiltSystem out;
   switch (scheme) {
     case Scheme::kBaseline: {

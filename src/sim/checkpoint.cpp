@@ -53,10 +53,9 @@ std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg) {
                       (cfg.verifier.fatal ? 8 : 0));
   h = hash_mix(h, cfg.telemetry.metrics_window);
 
-  // step_threads, step_procs and step_tiles_x/y excluded: volatile knobs —
-  // any tiling, threading or process partition is bit-identical to serial,
-  // so a checkpoint taken at procs=4 threads=8 must resume cleanly at
-  // threads=1 (and any tiles=/procs=).
+  // step_threads and step_tiles_x/y excluded: volatile knobs — any tiling
+  // or threading is bit-identical to serial, so a checkpoint taken at
+  // threads=8 must resume cleanly at threads=1 (and any tiles=).
   const NocParams& n = cfg.noc;
   h = hash_mix(h, static_cast<std::uint64_t>(n.width));
   h = hash_mix(h, static_cast<std::uint64_t>(n.height));

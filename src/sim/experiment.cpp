@@ -1,20 +1,12 @@
 #include "sim/experiment.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
-#include <thread>
 
-#include "common/backoff.hpp"
 #include "common/log.hpp"
 #include "flov/flov_network.hpp"
-#include "noc/ipc/proc_pool.hpp"
-#include "noc/ipc/shm_arena.hpp"
 #include "rp/rp_network.hpp"
 #include "sim/baseline_network.hpp"
-#include "sim/checkpoint.hpp"
-#include "sim/runstate.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 #include "traffic/gating_scenario.hpp"
@@ -196,23 +188,6 @@ bool fully_drained(Network& net) {
 }  // namespace
 
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
-  // Multi-process stepping: map the shared arena and route THIS thread's
-  // allocations through it for the whole run, BEFORE anything is built —
-  // the forked workers must be able to follow every pointer the stepping
-  // loop can reach. The arena shared_ptr rides on the RunResult as a
-  // keepalive (see RunResult::arena) because run-scoped telemetry
-  // (metrics, incidents) is arena-backed too.
-  std::shared_ptr<ipc::ShmArena> arena;
-  std::optional<ipc::ShmArenaScope> arena_scope;
-  if (cfg.noc.step_procs > 1 || cfg.snapshot_period > 0) {
-    // snapshot_period > 0 also forces arena mode at procs=1: the
-    // checkpoint layer is a raw arena image, and where bytes are allocated
-    // from cannot change simulated results — so single-process runs get
-    // testable runstate blobs (and recovery from arena poisoning) too.
-    arena = ipc::ShmArena::create();
-    arena_scope.emplace(arena.get());
-  }
-
   BuiltSystem built = build_system(cfg.scheme, cfg.noc, cfg.energy,
                                    /*always_on=*/{}, cfg.faults);
   NocSystem& sys = *built.system;
@@ -305,12 +280,6 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
     octx.total_cycles = total;
     octx.hist_overflow = [&stats] { return stats.hist_overflow(); };
     octx.incidents = incidents.get();
-    if (net.step_procs() > 1) {
-      // procs= tuning signal for /healthz; reads ProcPool atomics, so it
-      // is safe from the HTTP thread mid-run (cleared again at end_run —
-      // `net` dies with this function).
-      octx.proc_imbalance = [&net] { return net.proc_busy_imbalance(); };
-    }
     cfg.ops->begin_run(octx);
   }
   std::uint64_t last_ejected = 0;
@@ -318,151 +287,6 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   std::uint64_t recoveries = 0;
   bool recovery_armed = true;  ///< one recovery attempt per stall episode
   bool aborted = false;
-  bool worker_lost = false;
-
-  // --- self-healing checkpoint layer (sim.snapshot_period > 0) ---
-  // A capture is pure reads at a cycle boundary: everything the schedule
-  // can reach is either in the arena image or one of the parent-stack
-  // regions registered below. The watchdog scalars are registered so a
-  // rollback also rewinds stall bookkeeping (run.watchdog_recoveries is a
-  // manifest metric and must replay identically); the RUNTIME recovery
-  // counters are deliberately not registered — they count real-world
-  // events and live outside the deterministic state.
-  std::optional<RunstateKeeper> keeper;
-  if (cfg.snapshot_period > 0 && arena) {
-    ipc::ShmArenaScope unbound(nullptr);
-    RunstateKeeper::Options kopts;
-    kopts.path = cfg.runstate_path;
-    kopts.fingerprint = sweep_point_fingerprint(cfg);
-    keeper.emplace(arena.get(), std::move(kopts));
-    keeper->add_region(static_cast<void*>(&stats), sizeof(stats));
-    keeper->add_region(static_cast<void*>(&traffic), sizeof(traffic));
-    keeper->add_region(static_cast<void*>(&scenario), sizeof(scenario));
-    keeper->add_region(&packets_corrupted, sizeof(packets_corrupted));
-    keeper->add_region(&last_ejected, sizeof(last_ejected));
-    keeper->add_region(&last_progress, sizeof(last_progress));
-    keeper->add_region(&recoveries, sizeof(recoveries));
-    keeper->add_region(&recovery_armed, sizeof(recovery_armed));
-  }
-  std::uint64_t recoveries_rt = 0;     ///< RunResult::recoveries
-  std::uint64_t recovery_wall_ns = 0;  ///< RunResult::recovery_wall_ns
-  int cur_procs = net.step_procs();
-  std::optional<ipc::ShmArenaScope> unpoison_scope;
-
-  // Rolls back to the last checkpoint and respawns the stepping pools.
-  // False = self-healing is off, has no snapshot yet, or the recovery
-  // budget is spent — the caller takes the classic abort path.
-  auto attempt_self_heal = [&](Cycle at, const char* why) -> bool {
-    if (!keeper || !keeper->has_snapshot()) return false;
-    if (recoveries_rt >=
-        static_cast<std::uint64_t>(std::max(0, cfg.max_recoveries))) {
-      return false;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::fprintf(
-        stderr,
-        "[selfheal] %s at cycle %llu; rolling back to snapshot @%llu "
-        "(recovery %llu/%d)\n",
-        why, static_cast<unsigned long long>(at),
-        static_cast<unsigned long long>(keeper->cycle()),
-        static_cast<unsigned long long>(recoveries_rt + 1),
-        cfg.max_recoveries);
-    bool resumed = false;
-    for (int attempt = 0; attempt < 4 && !resumed; ++attempt) {
-      // Quarantine (no writers left), restore the image in place, rebuild
-      // pools. On a failed respawn the restore is redone: the failed build
-      // may have advanced the arena bump, and re-restoring rewinds it.
-      net.prepare_for_restore();
-      keeper->restore();
-      try {
-        net.resume_after_restore(cur_procs);
-        resumed = true;
-      } catch (const std::exception& e) {
-        // Respawn failed (fork pressure): capped backoff, then downshift
-        // the process count — manifests are procs-independent, so halving
-        // is invisible to results.
-        const std::uint64_t ms = backoff_shift(50, attempt, 4);
-        cur_procs = std::max(1, cur_procs / 2);
-        std::fprintf(stderr,
-                     "[selfheal] respawn failed (%s); retrying with "
-                     "procs=%d after %llu ms\n",
-                     e.what(), cur_procs,
-                     static_cast<unsigned long long>(ms));
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-      }
-    }
-    if (!resumed) return false;
-    recoveries_rt++;
-    recovery_wall_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    if (cfg.ops != nullptr) {
-      cfg.ops->note_recovery(recoveries_rt, recovery_wall_ns);
-    }
-    return true;
-  };
-
-  // Records the terminal loss incident. Deliberately the ONLY place
-  // recovery-adjacent data touches the incident sink: successful
-  // recoveries leave no manifest trace (byte-identity with undisturbed
-  // runs), so incidents appear only when the run actually dies.
-  auto record_loss = [&](Cycle at, const char* kind, int worker,
-                         const char* detail) {
-    if (arena && arena->poisoned() && !unpoison_scope) {
-      // The arena allocator is quarantined; route the remaining telemetry
-      // (incident strings, manifest assembly) to plain malloc. Mixed
-      // storage is fine — deletes route by address.
-      unpoison_scope.emplace(nullptr);
-    }
-    telemetry::JsonWriter w;
-    w.begin_object();
-    w.kv("kind", kind);
-    w.kv("scheme", sys.name());
-    w.kv("cycle", static_cast<std::uint64_t>(at));
-    if (worker >= 0) w.kv("worker", worker);
-    w.kv("detail", detail);
-    w.end_object();
-    incidents->add(w.take());
-    worker_lost = true;
-  };
-
-  enum class StepOutcome { kOk, kRecovered, kLost };
-  // Steps the system one cycle. kLost means a stepping worker process died
-  // (or the arena was poisoned) and self-healing was unavailable — the
-  // cycle never completed its barrier, fabric state is torn mid-merge, and
-  // the caller must abort. kRecovered means the state was rolled back to
-  // the last snapshot: `now` has been rewound in place and the caller
-  // re-enters the loop from there.
-  auto step_system = [&](Cycle& now) -> StepOutcome {
-    // Failure details are deep-copied to malloc-side storage and the
-    // exception destroyed BEFORE any recovery work: WorkerLost's message
-    // string was allocated while the arena scope was bound, so restoring
-    // the image first would rewind the allocator out from under the
-    // exception's own destructor.
-    std::string why;
-    const char* kind = nullptr;
-    int lost_worker = -1;
-    try {
-      sys.step(now);
-      return StepOutcome::kOk;
-    } catch (const ipc::WorkerLost& e) {
-      ipc::ShmArenaScope unbound(nullptr);
-      why = e.what();
-      kind = "worker_lost";
-      lost_worker = e.worker();
-    } catch (const ipc::ArenaPoisoned& e) {
-      ipc::ShmArenaScope unbound(nullptr);
-      why = e.what();
-      kind = "arena_poisoned";
-    }
-    if (attempt_self_heal(now, why.c_str())) {
-      now = keeper->cycle();
-      return StepOutcome::kRecovered;
-    }
-    record_loss(now, kind, lost_worker, why.c_str());
-    return StepOutcome::kLost;
-  };
   Cycle end_cycle = total;  ///< first cycle NOT simulated
   Cycle now = 0;
   while (now < total) {
@@ -472,22 +296,9 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
       end_cycle = now;
       break;
     }
-    // Snapshot BEFORE this cycle's traffic/stepping: a restore resumes
-    // with scenario.apply/traffic.step for the captured cycle not yet run,
-    // exactly like the first pass. (capture() no-ops when the resume path
-    // re-crosses the boundary it was restored from.)
-    if (keeper && (now % cfg.snapshot_period) == 0) keeper->capture(now);
     scenario.apply(sys, now);
     traffic.step(now);
-    {
-      const StepOutcome so = step_system(now);
-      if (so == StepOutcome::kLost) {
-        aborted = true;
-        end_cycle = now;
-        break;
-      }
-      if (so == StepOutcome::kRecovered) continue;  // now was rewound
-    }
+    sys.step(now);
     if (verifier) verifier->step(now);
     if (cfg.ops != nullptr && cfg.ops->wants_tick(now)) cfg.ops->tick(now);
     if (now == cfg.warmup) built.power->begin_window(now);
@@ -549,10 +360,6 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   // abort — the verifier's final sweep still runs on whatever remains.
   if (!aborted && cfg.drain_max != 0) {
     const Cycle drain_end = total + cfg.drain_max;
-    // Anchor a snapshot at drain entry: the drain loop does not replay
-    // scenario/traffic steps, so a recovery during the drain must never
-    // rewind below `total` (it would skip the traffic window's replay).
-    if (keeper) keeper->capture(total);
     Cycle dnow = total;
     while (dnow < drain_end) {
       if (hard_cap != 0 && dnow >= hard_cap) {
@@ -562,15 +369,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
         break;
       }
       if (fully_drained(net)) break;
-      if (keeper && (dnow % cfg.snapshot_period) == 0) keeper->capture(dnow);
-      {
-        const StepOutcome so = step_system(dnow);
-        if (so == StepOutcome::kLost) {
-          aborted = true;
-          break;
-        }
-        if (so == StepOutcome::kRecovered) continue;  // dnow was rewound
-      }
+      sys.step(dnow);
       if (verifier) verifier->step(dnow);
       if (cfg.ops != nullptr && cfg.ops->wants_tick(dnow)) cfg.ops->tick(dnow);
       ++dnow;
@@ -583,12 +382,8 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   }
 
   RunResult r;
-  r.arena = arena;  // keepalive: see RunResult::arena
   r.scheme = to_string(cfg.scheme);
   r.aborted = aborted;
-  r.worker_lost = worker_lost;
-  r.recoveries = recoveries_rt;
-  r.recovery_wall_ns = recovery_wall_ns;
   r.cycles_run = end_cycle;
   r.avg_latency = stats.avg_latency();
   r.p50_latency = stats.latency_percentile(50);
@@ -653,9 +448,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
     record_dead_packets(net, *incidents);
   }
   if (verifier) {
-    // No final sweep after a lost worker: the last cycle never finished
-    // its barrier, so conservation is torn mid-merge by construction.
-    if (!worker_lost) verifier->final_check(end_cycle);
+    verifier->final_check(end_cycle);
     r.verifier_violations = verifier->violations();
     r.verifier_checks = verifier->checks_run();
   }
@@ -664,15 +457,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   // Final ops fold AFTER every end-of-run incident (hard_fault_summary,
   // packet_dead, verifier final sweep) has been recorded, so the last
   // published snapshot carries the complete incident counts.
-  if (cfg.ops != nullptr) {
-    // Bridge the per-process busy split into the profile report (children
-    // cannot bind the profiler — it is parent-private memory — so their
-    // busy time arrives through the ProcPool status rings instead).
-    if (net.step_procs() > 1 && cfg.ops->profiler() != nullptr) {
-      cfg.ops->profiler()->set_proc_busy(net.proc_busy_ns());
-    }
-    cfg.ops->end_run(end_cycle);
-  }
+  if (cfg.ops != nullptr) cfg.ops->end_run(end_cycle);
 
   // Every subsystem registers its metrics under its own prefix; the
   // registry rides on the RunResult so sweeps can fold per-point
@@ -691,9 +476,6 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   metrics->counter("run.watchdog_recoveries") += recoveries;
   metrics->counter("run.cycles") += end_cycle;
   if (aborted) metrics->counter("run.aborted") += 1;
-  // Only touched on loss, so healthy procs= manifests stay byte-identical
-  // to single-process ones (registries serialize only keys that exist).
-  if (worker_lost) metrics->counter("run.worker_lost") += 1;
   if (cfg.noc.reliable) {
     metrics->counter("run.packets_acked") += r.packets_acked;
     metrics->counter("run.packets_dead") += r.packets_dead;

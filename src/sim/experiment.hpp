@@ -56,20 +56,6 @@ struct SyntheticExperimentConfig {
   /// structured incident and partial stats instead of FLOV_CHECK-aborting
   /// the process.
   Cycle max_cycles_hard = 0;
-  /// In-run checkpoint period in cycles (sim.snapshot_period; 0 = off).
-  /// When set, the complete stepping state is captured at every period
-  /// boundary (RunstateKeeper), and a lost worker process or poisoned
-  /// arena is healed by restoring the last snapshot and respawning the
-  /// pools instead of aborting — with a byte-identical manifest to an
-  /// undisturbed run. Volatile: never part of the config fingerprint, and
-  /// zero hot-path cost when 0 (one null check per cycle).
-  Cycle snapshot_period = 0;
-  /// Disk path for the flyover-runstate-v1 blob (runstate=; "" = snapshots
-  /// stay in memory only). Volatile.
-  std::string runstate_path;
-  /// Self-healing budget (sim.max_recoveries): in-run recoveries beyond
-  /// this abort the run on the classic worker_lost path. Volatile.
-  int max_recoveries = 3;
   /// Fault-injection model (all-zero = reliable fabric).
   FaultParams faults;
   /// Run the invariant verifier alongside the simulation.
@@ -85,13 +71,6 @@ struct SyntheticExperimentConfig {
 };
 
 struct RunResult {
-  /// Keepalive for the shared stepping arena (noc.step_procs > 1; null
-  /// otherwise). Everything below — metrics, incidents, the latency stats
-  /// folded into the scalars — was allocated while the arena scope was
-  /// bound, so the mapping must outlive every copy of this result. FIRST
-  /// member on purpose: members are destroyed in reverse declaration
-  /// order, so the arena is unmapped last.
-  std::shared_ptr<void> arena;
   std::string scheme;
   double avg_latency = 0.0;
   double p50_latency = 0.0;
@@ -137,19 +116,6 @@ struct RunResult {
   std::uint64_t wake_requests_dropped = 0;
   /// True when sim.max_cycles_hard aborted the run (stats are partial).
   bool aborted = false;
-  /// True when a stepping worker process died mid-run (noc.step_procs > 1;
-  /// implies aborted — a `worker_lost` incident carries the details, and
-  /// flov_sim_cli exits 3). With sim.snapshot_period > 0 this is only set
-  /// when self-healing also failed (recovery budget exhausted or no
-  /// snapshot yet).
-  bool worker_lost = false;
-  /// Self-healing recoveries performed (checkpoint restore + respawn).
-  /// Deliberately NOT a manifest metric: a disturbed-and-recovered run
-  /// must stay byte-identical to an undisturbed one, so recovery telemetry
-  /// lives only here, on stderr, and on /healthz.
-  std::uint64_t recoveries = 0;
-  /// Wall time spent inside recovery (restore + respawn), nanoseconds.
-  std::uint64_t recovery_wall_ns = 0;
   /// Cycles actually simulated (warmup + measure + any drain tail; less
   /// when aborted).
   Cycle cycles_run = 0;

@@ -21,28 +21,22 @@ int resolve_jobs(int jobs) {
 }
 
 int resolve_jobs(int jobs, int threads_per_job) {
-  return resolve_jobs(jobs, threads_per_job, 1);
-}
-
-int resolve_jobs(int jobs, int threads_per_job, int procs_per_job) {
   if (threads_per_job < 1) threads_per_job = 1;
-  if (procs_per_job < 1) procs_per_job = 1;
-  const int workers_per_job = threads_per_job * procs_per_job;
   const int hw = resolve_jobs(0);
   if (jobs > 0) {
-    // An explicit jobs= is always respected, but jobs x procs x threads
-    // beyond the core count silently serializes the domain barriers —
-    // worth a warning, not an override.
-    if (jobs * workers_per_job > hw) {
+    // An explicit jobs= is always respected, but jobs x threads beyond the
+    // core count silently serializes the domain barriers — worth a
+    // warning, not an override.
+    if (jobs * threads_per_job > hw) {
       std::fprintf(stderr,
-                   "[sweep] warning: jobs=%d x procs=%d x threads=%d "
-                   "oversubscribes hardware_concurrency=%d; expect barrier "
-                   "stalls (drop jobs=, procs= or threads=)\n",
-                   jobs, procs_per_job, threads_per_job, hw);
+                   "[sweep] warning: jobs=%d x threads=%d oversubscribes "
+                   "hardware_concurrency=%d; expect barrier stalls (drop "
+                   "jobs= or threads=)\n",
+                   jobs, threads_per_job, hw);
     }
     return jobs;
   }
-  const int budget = hw / workers_per_job;
+  const int budget = hw / threads_per_job;
   return budget < 1 ? 1 : budget;
 }
 
@@ -121,24 +115,13 @@ std::vector<RunResult> run_sweep(
   }
 
   // Budget jobs against the intra-run parallelism of the points themselves:
-  // a sweep of points that each step on 4 domain workers (threads AND
-  // forked processes) should not also spawn hardware_concurrency sweep
-  // workers.
+  // a sweep of points that each step on 4 domain workers should not also
+  // spawn hardware_concurrency sweep workers.
   int max_step_threads = 1;
-  int max_step_procs = 1;
   for (const auto& p : points) {
     max_step_threads = std::max(max_step_threads, p.noc.step_threads);
-    max_step_procs = std::max(max_step_procs, p.noc.step_procs);
-    // A worker process would inherit the point's ops plane by reference
-    // but could never serve it (one port, parent-private server state):
-    // the ops plane always attaches to the parent fold, so per-point ops
-    // wiring plus procs>1 is a config error, not a silent misfeature.
-    FLOV_CHECK(p.noc.step_procs <= 1 || p.ops == nullptr,
-               "sweep points cannot combine noc.step_procs > 1 with a "
-               "per-point ops plane (serve=); attach ops to the sweep "
-               "parent instead");
   }
-  const int jobs = resolve_jobs(opts.jobs, max_step_threads, max_step_procs);
+  const int jobs = resolve_jobs(opts.jobs, max_step_threads);
   std::mutex progress_mu;
   std::atomic<int> done{restored};
   auto body = [&](int k) {

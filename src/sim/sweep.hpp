@@ -61,12 +61,6 @@ int resolve_jobs(int jobs);
 /// stays near the core count. An explicit jobs > 0 is always respected.
 int resolve_jobs(int jobs, int threads_per_job);
 
-/// Jobs x procs x threads budgeting: a point running step_procs processes
-/// of step_threads threads each occupies procs x threads cores, so auto
-/// divides by the product and the oversubscription warning names all three
-/// knobs. procs_per_job/threads_per_job < 1 are treated as 1.
-int resolve_jobs(int jobs, int threads_per_job, int procs_per_job);
-
 /// Runs `fn(i)` for i in [0, n) on `jobs` threads. fn must be safe to call
 /// concurrently for distinct i. If any call throws, the exception from the
 /// LOWEST index is rethrown on the caller after all workers drained (later

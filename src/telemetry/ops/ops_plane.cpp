@@ -60,10 +60,6 @@ void OpsPlane::begin_run(const RunContext& ctx) {
   incidents_seen_ = 0;
   incidents_hard_fault_ = 0;
   incidents_watchdog_ = 0;
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    health_proc_imbalance_ = ctx.proc_imbalance;
-  }
   const int n = ctx_.sys->network().num_nodes();
   node_latency_sum_.assign(static_cast<std::size_t>(n), 0);
   node_ejected_packets_.assign(static_cast<std::size_t>(n), 0);
@@ -90,12 +86,6 @@ void OpsPlane::end_run(Cycle now) {
   // across threads= / tiles=).
   if (now != last_fold_cycle_ || seq_ == 0) fold(now);
   run_active_ = false;
-  {
-    // Detach the health-surfaced callback before the system it reads is
-    // destroyed; the HTTP thread takes the same lock in healthz_json.
-    std::lock_guard<std::mutex> lock(health_mu_);
-    health_proc_imbalance_ = nullptr;
-  }
   ctx_ = RunContext{};
 }
 
@@ -249,14 +239,10 @@ std::string OpsPlane::healthz_json() const {
   auto snap = publisher_.current();
   const OpsSnapshot empty;
   const OpsSnapshot& s = snap ? *snap : empty;
-  const std::uint64_t recov = recoveries_.load(std::memory_order_relaxed);
   telemetry::JsonWriter w;
   w.begin_object();
   w.kv("schema", "flyover-healthz-v1");
-  // Status precedence: stalled > degraded > ok. `degraded` = the run is
-  // healthy NOW but self-healed at least once (lost worker / poisoned
-  // arena recovered from a checkpoint).
-  w.kv("status", s.stalled ? "stalled" : (recov > 0 ? "degraded" : "ok"));
+  w.kv("status", s.stalled ? "stalled" : "ok");
   w.kv("build", telemetry::build_git_describe());
   w.kv("scheme", s.scheme);
   w.kv("campaign", s.campaign);
@@ -278,18 +264,6 @@ std::string OpsPlane::healthz_json() const {
     w.raw(g.take());
   }
   w.kv("hist_overflow", s.hist_overflow);
-  w.kv("recoveries", recov);
-  w.kv("recovery_wall_seconds",
-       static_cast<double>(recovery_wall_ns_.load(std::memory_order_relaxed)) /
-           1e9);
-  {
-    // Live (wall-clock-derived, volatile like uptime) procs= imbalance:
-    // 1.0 when single-process or between runs.
-    double imbalance = 1.0;
-    std::lock_guard<std::mutex> lock(health_mu_);
-    if (health_proc_imbalance_) imbalance = health_proc_imbalance_();
-    w.kv("proc_busy_imbalance", imbalance);
-  }
   w.end_object();
   return w.take();
 }

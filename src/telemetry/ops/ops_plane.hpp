@@ -24,7 +24,6 @@
 // only ever touches published (immutable) snapshots.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -89,10 +88,6 @@ class OpsPlane {
     std::function<std::uint64_t()> hist_overflow;
     /// Incident sink to count kinds from; may be null. Borrowed.
     const telemetry::StructuredSink* incidents = nullptr;
-    /// Multi-process busy-imbalance reader (Network::proc_busy_imbalance);
-    /// null for single-process runs. Must be callable from the HTTP
-    /// thread mid-run — it only reads ProcPool atomics.
-    std::function<double()> proc_imbalance;
   };
 
   /// Sizes the per-node accumulators and registers a passive ejection
@@ -105,14 +100,6 @@ class OpsPlane {
   /// Final fold at the run's end cycle; detaches from the (about to be
   /// destroyed) system.
   void end_run(Cycle now);
-  /// Self-healing event (run_synthetic after a successful checkpoint
-  /// restore + respawn): surfaces `degraded` status and the recovery
-  /// counters on /healthz. Volatile by design — recovery facts never
-  /// enter snapshots or manifests.
-  void note_recovery(std::uint64_t recoveries, std::uint64_t wall_ns) {
-    recoveries_.store(recoveries, std::memory_order_relaxed);
-    recovery_wall_ns_.store(wall_ns, std::memory_order_relaxed);
-  }
 
   // --- campaign mode (sweep / certify drivers) ---
   void begin_campaign(const std::string& kind, std::uint64_t points_total,
@@ -152,15 +139,6 @@ class OpsPlane {
   // --- run-mode fold state (sim thread only) ---
   bool run_active_ = false;
   RunContext ctx_;
-  /// Guards health-surfaced callbacks the HTTP thread may invoke mid-run
-  /// (currently ctx_.proc_imbalance). end_run clears them under this lock
-  /// — the system they read dies right after.
-  mutable std::mutex health_mu_;
-  std::function<double()> health_proc_imbalance_;
-  /// Self-healing counters (written by the sim thread between barriers,
-  /// read by the HTTP thread): non-zero recoveries = `degraded` status.
-  std::atomic<std::uint64_t> recoveries_{0};
-  std::atomic<std::uint64_t> recovery_wall_ns_{0};
   Cycle next_fold_ = 0;
   Cycle last_fold_cycle_ = 0;
   std::uint64_t seq_ = 0;

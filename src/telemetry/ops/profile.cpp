@@ -22,12 +22,8 @@ const char* profile_phase_name(ProfilePhase p) {
       return "power";
     case ProfilePhase::kBarrier:
       return "barrier";
-    case ProfilePhase::kBarrierIpc:
-      return "barrier_ipc";
     case ProfilePhase::kMerge:
       return "merge";
-    case ProfilePhase::kShmCopy:
-      return "shm_copy";
     case ProfilePhase::kOther:
       return "other";
     case ProfilePhase::kNumPhases:
@@ -62,24 +58,6 @@ double PhaseProfiler::Report::busy_imbalance() const {
   bool any = false;
   for (const DomainReport& d : domains) {
     const std::uint64_t b = d.busy_ns();
-    if (b == 0) continue;
-    if (!any) {
-      max_busy = min_busy = b;
-      any = true;
-    } else {
-      max_busy = std::max(max_busy, b);
-      min_busy = std::min(min_busy, b);
-    }
-  }
-  if (!any || min_busy == 0) return 1.0;
-  return static_cast<double>(max_busy) / static_cast<double>(min_busy);
-}
-
-double PhaseProfiler::proc_busy_imbalance() const {
-  std::uint64_t max_busy = 0;
-  std::uint64_t min_busy = 0;
-  bool any = false;
-  for (const std::uint64_t b : proc_busy_) {
     if (b == 0) continue;
     if (!any) {
       max_busy = min_busy = b;
@@ -154,20 +132,6 @@ std::string PhaseProfiler::report_json() const {
     arr += "]";
     w.raw(arr);
   }
-  if (!proc_busy_.empty()) {
-    w.kv("num_procs", static_cast<std::uint64_t>(proc_busy_.size()));
-    w.key("proc_busy_ns");
-    {
-      std::string arr = "[";
-      for (std::size_t p = 0; p < proc_busy_.size(); ++p) {
-        if (p != 0) arr += ",";
-        arr += std::to_string(proc_busy_[p]);
-      }
-      arr += "]";
-      w.raw(arr);
-    }
-    w.kv("proc_busy_imbalance", proc_busy_imbalance());
-  }
   w.end_object();
   return w.take();
 }
@@ -197,13 +161,6 @@ void PhaseProfiler::print(std::FILE* f) const {
       std::fprintf(f, " %.3f", static_cast<double>(d.busy_ns()) / 1e6);
     }
     std::fprintf(f, "  (imbalance %.2fx)\n", r.busy_imbalance());
-  }
-  if (!proc_busy_.empty()) {
-    std::fprintf(f, "[profile] per-process busy ms:");
-    for (const std::uint64_t b : proc_busy_) {
-      std::fprintf(f, " %.3f", static_cast<double>(b) / 1e6);
-    }
-    std::fprintf(f, "  (imbalance %.2fx)\n", proc_busy_imbalance());
   }
 }
 

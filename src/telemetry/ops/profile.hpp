@@ -43,11 +43,7 @@ enum class ProfilePhase : std::uint8_t {
   kNi,             ///< NetworkInterface stepping
   kPower,          ///< scheme power machinery (HSCs, signal fabric, RP mgr)
   kBarrier,        ///< control thread waiting on the step-pool barrier
-  kBarrierIpc,     ///< parent waiting on the cross-process barrier (procs=)
-  kMerge,          ///< barrier-side merges (wakes, ejections)
-  kShmCopy,        ///< barrier-side channel merges (the shared-memory
-                   ///< transport fold when procs > 1; same scope covers the
-                   ///< in-process channel merge so procs=1 stays comparable)
+  kMerge,          ///< barrier-side merges (channels, wakes, ejections)
   kOther,          ///< anything else a caller chooses to scope
   kNumPhases,
 };
@@ -93,9 +89,7 @@ class PhaseProfiler {
     /// bookkeeping, not per-domain busy time.
     std::uint64_t busy_ns() const {
       return total_ns() - ns[static_cast<int>(ProfilePhase::kBarrier)] -
-             ns[static_cast<int>(ProfilePhase::kBarrierIpc)] -
-             ns[static_cast<int>(ProfilePhase::kMerge)] -
-             ns[static_cast<int>(ProfilePhase::kShmCopy)];
+             ns[static_cast<int>(ProfilePhase::kMerge)];
     }
   };
 
@@ -110,22 +104,8 @@ class PhaseProfiler {
 
   Report report() const;
 
-  /// Per-PROCESS busy nanoseconds for procs= runs, bridged from
-  /// Network::proc_busy_ns at end of run ([0] = the parent's domain
-  /// range). Empty (the default) means single-process: the report omits
-  /// the proc_* fields entirely so procs=1 output is unchanged.
-  void set_proc_busy(std::vector<std::uint64_t> busy_ns) {
-    proc_busy_ = std::move(busy_ns);
-  }
-
-  /// max/min busy ratio across processes (1.0 when single-process or
-  /// degenerate) — the procs= analogue of Report::busy_imbalance.
-  double proc_busy_imbalance() const;
-
   /// {"schema":"flyover-profile-v1", ...}: per-domain and merged phase
-  /// nanoseconds/calls plus the imbalance ratio; procs= runs add
-  /// num_procs / proc_busy_ns / proc_busy_imbalance. Written by
-  /// profile_out=.
+  /// nanoseconds/calls plus the imbalance ratio. Written by profile_out=.
   std::string report_json() const;
 
   /// Human-readable table (stderr at end of a profile=1 run).
@@ -140,8 +120,6 @@ class PhaseProfiler {
   /// unique_ptr rows: growing the table must not move slots a bound
   /// ProfileScope already points at.
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<std::uint64_t> proc_busy_;  ///< see set_proc_busy
-
 };
 
 /// Thread-local profiler binding (mirrors ThreadTraceState): `profiler` is

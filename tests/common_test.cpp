@@ -440,6 +440,19 @@ TEST(Config, KeysSortedAndRoundTrip) {
   EXPECT_EQ(d.get_int("aa"), 2);
 }
 
+TEST(Config, RetiredKeysAreReportedWithTheReplacement) {
+  Config c;
+  c.set("threads", 2ll);
+  EXPECT_EQ(c.retired_key_error(), "");
+  for (const char* k : kRetiredConfigKeys) {
+    Config r;
+    r.set(k, std::string("2"));
+    const std::string err = r.retired_key_error();
+    EXPECT_NE(err.find(std::string(k) + "="), std::string::npos) << k;
+    EXPECT_NE(err.find("threads="), std::string::npos) << k;
+  }
+}
+
 TEST(RingBuffer, FifoOrderAcrossGrowth) {
   RingBuffer<int> rb;
   EXPECT_TRUE(rb.empty());

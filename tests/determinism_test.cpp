@@ -8,9 +8,6 @@
 //     at every probe point (the active-set fast path never desyncs).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -18,35 +15,6 @@
 #include "sim/sweep.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/manifest.hpp"
-
-// ThreadSanitizer cannot model cross-process shared-memory synchronization
-// (the forked stepping workers in the noc.step_procs tests): it sees the
-// futex-paired atomics in the MAP_SHARED arena as plain unordered accesses
-// from processes it never instrumented. Skip only the procs= tests there.
-#if defined(__SANITIZE_THREAD__)
-#define FLOV_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define FLOV_TEST_TSAN 1
-#endif
-#endif
-#ifndef FLOV_TEST_TSAN
-#define FLOV_TEST_TSAN 0
-#endif
-// AddressSanitizer follows the forked workers fine (and the 8x8 / hard-fault
-// procs tests run under it as real memory-error coverage of the shm arena),
-// but its per-cycle slowdown multiplied by 5-way process oversubscription
-// makes the 16x16 procs=4 scale test take minutes; skip only that one there.
-#if defined(__SANITIZE_ADDRESS__)
-#define FLOV_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define FLOV_TEST_ASAN 1
-#endif
-#endif
-#ifndef FLOV_TEST_ASAN
-#define FLOV_TEST_ASAN 0
-#endif
 
 namespace flov {
 namespace {
@@ -356,274 +324,6 @@ TEST(Determinism, TileCountAboveMeshDimsClampsAndStaysIdentical) {
   ex.noc.step_tiles_y = 2;
   const RunResult par = run_synthetic(ex);
   expect_identical(serial, par);
-}
-
-// --- multi-process stepping (noc.step_procs, CLI procs=) ---
-//
-// procs=N forks N-1 stepping worker processes over a shared-memory arena
-// holding the whole network; cross-process traffic travels through the SAME
-// staged boundary channels threads= uses (the arena makes them genuinely
-// shared pages), and the parent replays the identical barrier-side merges.
-// So procs=N inherits the full determinism argument — and these tests hold
-// it to the same standard as threads=: byte-identical manifests, not
-// statistical closeness. (See docs/PERFORMANCE.md, "Multi-process
-// stepping".)
-
-SyntheticExperimentConfig procs_config(Scheme s, int k, double gated,
-                                       std::uint64_t seed, int procs,
-                                       int threads = 1) {
-  SyntheticExperimentConfig ex = sized_config(s, k, gated, seed, threads);
-  ex.noc.step_procs = procs;
-  return ex;
-}
-
-TEST(Determinism, MultiProcessStepMatchesSerial8x8AllSchemes) {
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  for (Scheme s : kAllSchemes) {
-    const RunResult serial = run_synthetic(procs_config(s, 8, 0.4, 7, 1));
-    const std::string serial_manifest = manifest_json(serial, 7);
-    for (int procs : {2, 4}) {
-      const RunResult par = run_synthetic(procs_config(s, 8, 0.4, 7, procs));
-      SCOPED_TRACE(std::string(to_string(s)) + " procs=" +
-                   std::to_string(procs));
-      expect_identical(serial, par);
-      EXPECT_EQ(serial_manifest, manifest_json(par, 7));
-    }
-  }
-}
-
-TEST(Determinism, MultiProcessStepMatchesSerial16x16Procs4AllSchemes) {
-  // The PR's acceptance bar: procs=4 on 16x16 produces byte-identical
-  // manifests to threads=1 for every scheme.
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  if (FLOV_TEST_ASAN)
-    GTEST_SKIP() << "scale test only — minutes-long under ASan "
-                    "oversubscription; procs code paths are ASan-covered "
-                    "by the 8x8 and hard-fault tests";
-  for (Scheme s : kAllSchemes) {
-    SyntheticExperimentConfig ex = procs_config(s, 16, 0.3, 13, 1);
-    ex.warmup = 200;
-    ex.measure = 1200;  // short: 16x16 runs 16x the 4x4 work per cycle
-    const RunResult serial = run_synthetic(ex);
-    const std::string serial_manifest = manifest_json(serial, 13);
-    ex.noc.step_procs = 4;
-    const RunResult par = run_synthetic(ex);
-    SCOPED_TRACE(to_string(s));
-    expect_identical(serial, par);
-    EXPECT_EQ(serial_manifest, manifest_json(par, 13));
-  }
-}
-
-TEST(Determinism, MultiProcessHardFaultManifestBytesMatchSerial) {
-  // Hard faults + reliable delivery, stepped across process boundaries:
-  // routers die, retransmits fly, incidents are recorded — and the whole
-  // manifest must still byte-match serial, including with a thread pool
-  // INSIDE each worker process (procs=2 x threads=2).
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  SyntheticExperimentConfig ex = procs_config(Scheme::kGFlov, 8, 0.3, 31, 1);
-  ex.noc.reliable = true;
-  ex.noc.retx_timeout = 64;
-  ex.drain_max = 20000;
-  ex.max_cycles_hard = 100000;
-  ex.verifier.fatal = false;
-  ex.verifier.settle_window = 512;
-  ex.faults.seed = 31;
-  ex.faults.hard_router_pct = 0.08;
-  ex.faults.hard_link_pct = 0.04;
-  ex.faults.hard_at_cycle = ex.warmup + ex.measure / 3;
-
-  const RunResult serial = run_synthetic(ex);
-  ASSERT_GT(serial.dead_routers, 0);
-  ASSERT_FALSE(serial.aborted);
-  const std::string serial_manifest = manifest_json(serial, 31);
-  const std::pair<int, int> grids[] = {{2, 1}, {4, 1}, {2, 2}};
-  for (const auto& [procs, threads] : grids) {
-    ex.noc.step_procs = procs;
-    ex.noc.step_threads = threads;
-    const RunResult par = run_synthetic(ex);
-    SCOPED_TRACE("procs=" + std::to_string(procs) + " threads=" +
-                 std::to_string(threads));
-    expect_identical(serial, par);
-    EXPECT_EQ(serial.packets_acked, par.packets_acked);
-    EXPECT_EQ(serial.packets_dead, par.packets_dead);
-    EXPECT_EQ(serial.retransmits, par.retransmits);
-    EXPECT_EQ(serial.dead_routers, par.dead_routers);
-    EXPECT_EQ(serial.dead_links, par.dead_links);
-    EXPECT_FALSE(par.worker_lost);
-    EXPECT_EQ(serial_manifest, manifest_json(par, 31));
-  }
-}
-
-TEST(Determinism, ProcsAboveDomainCountClampsAndStaysIdentical) {
-  // procs=16 on a 4x4 mesh cannot create more worker processes than
-  // domains; the clamped partition must still match serial exactly.
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  const RunResult serial =
-      run_synthetic(procs_config(Scheme::kGFlov, 4, 0.3, 9, 1));
-  const RunResult par =
-      run_synthetic(procs_config(Scheme::kGFlov, 4, 0.3, 9, 16));
-  expect_identical(serial, par);
-}
-
-TEST(Determinism, WorkerKillMidRunRaisesWorkerLostAndAborts) {
-  // Kill stepping worker 0 at barrier epoch 600 (mid-measure): the run must
-  // abort cleanly — worker_lost flagged, a worker_lost incident recorded,
-  // the run.worker_lost counter bumped — instead of hanging on the barrier
-  // or crashing the parent.
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  ASSERT_EQ(setenv("FLYOVER_TEST_KILL_WORKER", "0:600", 1), 0);
-  const RunResult r =
-      run_synthetic(procs_config(Scheme::kGFlov, 8, 0.4, 7, 2));
-  unsetenv("FLYOVER_TEST_KILL_WORKER");
-  EXPECT_TRUE(r.aborted);
-  EXPECT_TRUE(r.worker_lost);
-  EXPECT_LT(r.cycles_run, 3500u);  // warmup 500 + measure 3000
-  ASSERT_TRUE(r.incidents);
-  bool found = false;
-  for (const std::string& rec : r.incidents->records()) {
-    if (rec.find("\"kind\":\"worker_lost\"") != std::string::npos) found = true;
-  }
-  EXPECT_TRUE(found) << "no worker_lost incident recorded";
-  ASSERT_TRUE(r.metrics);
-  // A healthy procs= run must never create this counter (manifest parity
-  // with single-process runs); a lost worker must.
-  EXPECT_NE(manifest_json(r, 7).find("run.worker_lost"), std::string::npos);
-}
-
-TEST(Determinism, WorkerKillMidRunSelfHealsToByteIdenticalManifest) {
-  // The tentpole invariant of the self-healing runtime: kill a stepping
-  // worker mid-run with checkpoints armed, and the recovered run's
-  // manifest is BYTE-IDENTICAL to both an undisturbed procs=2 run and the
-  // serial threads=1 run — the rollback + replay is invisible to results.
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  for (Scheme s : {Scheme::kGFlov, Scheme::kBaseline}) {
-    SCOPED_TRACE(to_string(s));
-    const RunResult serial = run_synthetic(procs_config(s, 8, 0.4, 7, 1));
-    const std::string serial_manifest = manifest_json(serial, 7);
-    const RunResult undisturbed =
-        run_synthetic(procs_config(s, 8, 0.4, 7, 2));
-    EXPECT_EQ(serial_manifest, manifest_json(undisturbed, 7));
-
-    SyntheticExperimentConfig ex = procs_config(s, 8, 0.4, 7, 2);
-    ex.snapshot_period = 512;
-    ex.max_recoveries = 3;
-    // The ProcPool ctor consumes (unsets) the hook, so respawned pools
-    // don't re-kill; re-arm per disturbed run.
-    ASSERT_EQ(setenv("FLYOVER_TEST_KILL_WORKER", "0:600", 1), 0);
-    const RunResult healed = run_synthetic(ex);
-    unsetenv("FLYOVER_TEST_KILL_WORKER");
-
-    EXPECT_FALSE(healed.aborted);
-    EXPECT_FALSE(healed.worker_lost);
-    EXPECT_EQ(healed.recoveries, 1u);
-    EXPECT_GT(healed.recovery_wall_ns, 0u);
-    expect_identical(serial, healed);
-    // Byte-identity is the whole point: recovery telemetry must not leak
-    // into metrics or incidents.
-    EXPECT_EQ(serial_manifest, manifest_json(healed, 7));
-    EXPECT_EQ(manifest_json(healed, 7).find("run.worker_lost"),
-              std::string::npos);
-  }
-}
-
-TEST(Determinism, WorkerKilledInsideAllocatorRecoversWithoutHanging) {
-  // The hardest chaos case: the worker dies while HOLDING the shared
-  // arena's futex lock (inside allocate). The robust pid-owner lock must
-  // detect the dead owner within its bounded wait, seize, audit, and the
-  // run must self-heal to a byte-identical manifest — never hang.
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  const RunResult undisturbed =
-      run_synthetic(procs_config(Scheme::kGFlov, 8, 0.4, 7, 2));
-  SyntheticExperimentConfig ex = procs_config(Scheme::kGFlov, 8, 0.4, 7, 2);
-  ex.snapshot_period = 512;
-  ASSERT_EQ(setenv("FLYOVER_TEST_KILL_IN_ALLOC", "0:600", 1), 0);
-  const RunResult healed = run_synthetic(ex);
-  unsetenv("FLYOVER_TEST_KILL_IN_ALLOC");
-  EXPECT_FALSE(healed.aborted);
-  EXPECT_FALSE(healed.worker_lost);
-  EXPECT_EQ(healed.recoveries, 1u);
-  expect_identical(undisturbed, healed);
-  EXPECT_EQ(manifest_json(undisturbed, 7), manifest_json(healed, 7));
-}
-
-TEST(Determinism, SnapshotPeriodAloneForcesArenaAndStaysIdentical) {
-  // sim.snapshot_period > 0 at procs=1 moves every run allocation into the
-  // shared arena (so checkpoints cover the whole graph). The allocation
-  // source must be invisible to results: byte-identical manifest to a
-  // plain malloc-backed serial run.
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "arena futexes confuse TSan";
-  const RunResult plain =
-      run_synthetic(procs_config(Scheme::kGFlov, 8, 0.4, 7, 1));
-  SyntheticExperimentConfig ex = procs_config(Scheme::kGFlov, 8, 0.4, 7, 1);
-  ex.snapshot_period = 1024;
-  const RunResult arena = run_synthetic(ex);
-  EXPECT_EQ(arena.recoveries, 0u);
-  expect_identical(plain, arena);
-  EXPECT_EQ(manifest_json(plain, 7), manifest_json(arena, 7));
-}
-
-TEST(Determinism, MultiProcessSweepKilledAndResumedMatchesUninterrupted) {
-  // The checkpoint/resume loop composes with procs=: a sweep of procs=2
-  // points killed after two completed points and resumed (still procs=2)
-  // folds to byte-identical merged metrics vs the uninterrupted
-  // single-process sweep. Exercises repeated arena create/teardown and
-  // worker fork/reap across points in one process too.
-  if (FLOV_TEST_TSAN) GTEST_SKIP() << "TSan cannot model forked workers";
-  std::vector<SyntheticExperimentConfig> points;
-  std::vector<SyntheticExperimentConfig> points_procs;
-  for (Scheme s : {Scheme::kGFlov, Scheme::kRp}) {
-    for (std::uint64_t seed : {3u, 4u}) {
-      points.push_back(procs_config(s, 8, 0.4, seed, 1));
-      points_procs.push_back(procs_config(s, 8, 0.4, seed, 2));
-    }
-  }
-  SweepOptions plain;
-  plain.jobs = 1;
-  const std::vector<RunResult> uninterrupted = run_sweep(points, plain);
-  telemetry::JsonWriter golden;
-  merge_sweep_metrics(uninterrupted).write_json(golden);
-
-  const std::string path = ::testing::TempDir() + "/flov_procs_ckpt.jsonl";
-  std::remove(path.c_str());
-  SweepOptions ck;
-  ck.jobs = 1;
-  ck.checkpoint_path = path;
-  run_sweep(points_procs, ck);
-
-  // Simulate the kill: keep only the first two checkpoint lines.
-  std::string all;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) all.append(buf, n);
-    std::fclose(f);
-  }
-  std::size_t second_nl = all.find('\n', all.find('\n') + 1);
-  ASSERT_NE(second_nl, std::string::npos);
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(all.data(), 1, second_nl + 1, f);
-    std::fclose(f);
-  }
-
-  SweepOptions resume = ck;
-  resume.resume = true;
-  int progress_calls = 0;
-  resume.progress = [&](int, int) { ++progress_calls; };
-  const std::vector<RunResult> resumed = run_sweep(points_procs, resume);
-  EXPECT_EQ(progress_calls, 2);
-
-  telemetry::JsonWriter merged;
-  merge_sweep_metrics(resumed).write_json(merged);
-  EXPECT_EQ(merged.take(), golden.take());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(uninterrupted[i], resumed[i]);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(Determinism, CachedCountersMatchRecountsDuringGatedRun) {

@@ -178,6 +178,15 @@ std::string registry_json(const telemetry::MetricsRegistry& reg) {
   return w.take();
 }
 
+// A sweep checkpoint written by an earlier build must still resume, so the
+// fingerprint of a fixed config is pinned to a literal: any change to what
+// the fingerprint covers (or how it hashes) shows up here, not as a
+// silently re-run campaign.
+TEST(Checkpoint, FingerprintOfAFixedConfigIsPinned) {
+  const SyntheticExperimentConfig ex = hard_fault_config(Scheme::kGFlov, 4, 9);
+  EXPECT_EQ(sweep_point_fingerprint(ex), 0x89de77abc74c9fccull);
+}
+
 TEST(Checkpoint, RoundTripsARunResultExactly) {
   const SyntheticExperimentConfig ex = hard_fault_config(Scheme::kGFlov, 4, 9);
   const RunResult r = run_synthetic(ex);
