@@ -50,7 +50,7 @@ RpRun run_rp(FabricManagerConfig fm, double gated, Cycle measure,
     }
   }
   out.static_mw = sys.power().report(total).static_mw;
-  out.parked = sys.parked_router_count();
+  out.parked = sys.gated_router_count();
   return out;
 }
 

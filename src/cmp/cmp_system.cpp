@@ -1,10 +1,11 @@
 #include "cmp/cmp_system.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/log.hpp"
-#include "flov/flov_network.hpp"
-#include "rp/rp_network.hpp"
+#include "noc/power_state.hpp"
+#include "noc/router.hpp"
 
 namespace flov {
 
@@ -15,13 +16,14 @@ CmpSystem::CmpSystem(const CmpConfig& cfg) : cfg_(cfg) {
                geom.id(0, geom.height() - 1),
                geom.id(geom.width() - 1, geom.height() - 1)};
 
-  // RP must never park the MC routers.
+  // RP must never park the MC routers, and batches core sleeps into
+  // epochs.
   std::vector<bool> always_on(geom.num_nodes(), false);
   for (NodeId m : mc_tiles_) always_on[m] = true;
-  built_ = build_system(cfg_.scheme, cfg_.noc, cfg_.energy, always_on);
-  if (auto* rp = dynamic_cast<RpNetwork*>(built_.system.get())) {
-    rp->fabric_manager().set_min_epoch_gap(cfg_.rp_epoch_gap);
-  }
+  FabricManagerConfig rp_cfg;
+  rp_cfg.min_epoch_gap = cfg_.rp_epoch_gap;
+  built_ = build_system(cfg_.scheme, cfg_.noc, cfg_.energy, always_on,
+                        /*faults=*/{}, rp_cfg);
 
   Rng seeder(cfg_.seed * 1299721 + 17);
   const int n = geom.num_nodes();
@@ -177,12 +179,10 @@ CmpResult CmpSystem::run() {
                    static_cast<unsigned long long>(now_));
       for (NodeId t = 0; t < n; ++t) net.router(t).dump_occupancy(now_);
     }
-    if (auto* f = dynamic_cast<FlovNetwork*>(&sys)) {
-      for (NodeId t = 0; t < n; ++t) {
-        const PowerState s = f->hsc(t).state();
-        if (s != PowerState::kActive && s != PowerState::kSleep) {
-          std::fprintf(stderr, "  router %d hsc=%s\n", t, to_string(s));
-        }
+    for (NodeId t = 0; t < n; ++t) {
+      const auto s = static_cast<PowerState>(sys.power_state_code(t));
+      if (s != PowerState::kActive && s != PowerState::kSleep) {
+        std::fprintf(stderr, "  router %d hsc=%s\n", t, to_string(s));
       }
     }
     FLOV_CHECK(false, std::string("CMP run hit the cycle bound: ") +

@@ -99,6 +99,13 @@ class FaultInjector {
   /// dead link silently eats every flit sent after hard_at_cycle.
   bool link_dies(std::uint32_t link_key) const;
   Cycle hard_at() const { return params_.hard_at_cycle; }
+  /// True exactly once, at the first step at or past hard_at_cycle (never
+  /// when hard faults are disarmed): the cycle a scheme applies its deaths.
+  bool hard_faults_strike(Cycle now) {
+    if (hard_struck_ || hard_at() == 0 || now < hard_at()) return false;
+    hard_struck_ = true;
+    return true;
+  }
 
   /// Accounts one flit destroyed by a hard fault (dead router sinking an
   /// arriving flit, or a dead NI purging its queue). Packet-coherent
@@ -126,6 +133,7 @@ class FaultInjector {
   std::uint64_t soft_flit_seed_;
   std::uint64_t soft_psr_seed_;
   Counters counters_;
+  bool hard_struck_ = false;
   /// Guards dropped_packets_ against concurrent inserts from domain
   /// workers (head-drop bookkeeping only — never on the fault-free path).
   std::mutex dropped_packets_mu_;

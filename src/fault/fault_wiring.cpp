@@ -3,6 +3,8 @@
 #include <optional>
 
 #include "noc/network.hpp"
+#include "noc/router.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace flov {
@@ -46,6 +48,30 @@ void arm_link_faults(Network& net, FaultInjector& fault) {
         return fate;
       });
     }
+  }
+}
+
+void arm_kill_accounting(Network& net, FaultInjector& fault) {
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    net.router(id).set_kill_callback(
+        [f = &fault, n = &net, id](const Flit& fl) {
+          f->note_hard_killed(fl);
+          n->note_flit_dropped(id);
+        });
+  }
+}
+
+void publish_link_fault_metrics(telemetry::MetricsRegistry& reg,
+                                const FaultInjector& fault, int dead_routers,
+                                int dead_links) {
+  const FaultInjector::Counters& f = fault.counters();
+  reg.counter("fault.flits_dropped") += f.flits_dropped;
+  reg.counter("fault.flits_delayed") += f.flits_delayed;
+  if (fault.hard_at() > 0) {
+    // Hard-fault keys only exist when the hard knobs are armed.
+    reg.counter("fault.hard_killed_flits") += f.hard_killed;
+    reg.gauge("fault.dead_routers") = static_cast<double>(dead_routers);
+    reg.gauge("fault.dead_links") = static_cast<double>(dead_links);
   }
 }
 

@@ -17,6 +17,9 @@
 namespace flov {
 
 class Network;
+namespace telemetry {
+class MetricsRegistry;
+}
 
 /// Directed-link fate key of `node`'s outgoing channel toward `d`.
 inline std::uint32_t link_fate_key(NodeId node, Direction d) {
@@ -26,6 +29,17 @@ inline std::uint32_t link_fate_key(NodeId node, Direction d) {
 
 /// Installs the per-flit fault hook on every inter-router flit channel.
 void arm_link_faults(Network& net, FaultInjector& fault);
+
+/// Accounts every flit a dead router destroys: the injector's hard-kill
+/// counter plus the network's cached in-flight count.
+void arm_kill_accounting(Network& net, FaultInjector& fault);
+
+/// Registers the flit-link fault metrics every scheme shares:
+/// fault.flits_dropped/delayed and, once hard faults are armed,
+/// fault.hard_killed_flits/dead_routers/dead_links.
+void publish_link_fault_metrics(telemetry::MetricsRegistry& reg,
+                                const FaultInjector& fault, int dead_routers,
+                                int dead_links);
 
 /// Evaluates the hard-fault fate of every directed inter-router link and
 /// writes the link_key-indexed mask (size num_nodes * 4). Returns the

@@ -57,11 +57,7 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
 
 void FlovNetwork::step(Cycle now) {
   current_cycle_ = now;
-  if (fault_ && !hard_applied_ && fault_->hard_at() > 0 &&
-      now >= fault_->hard_at()) {
-    hard_applied_ = true;
-    apply_hard_faults(now);
-  }
+  if (fault_ && fault_->hard_faults_strike(now)) apply_hard_faults(now);
   net_->step(now);
   // Replay wakeup requests the domain workers staged during net_->step.
   // Each stage is ascending by requester id (routers step in id order
@@ -115,9 +111,7 @@ void FlovNetwork::apply_hard_faults(Cycle now) {
     }
     for (Direction d : kMeshDirections) {
       if (net_->geom().neighbor(id, d) == kInvalidNode) continue;
-      const std::uint32_t link_key = static_cast<std::uint32_t>(id) * 4u +
-                                     static_cast<std::uint32_t>(dir_index(d));
-      if (fault_->link_dies(link_key)) {
+      if (fault_->link_dies(link_fate_key(id, d))) {
         // Poisoned-edge mark: routing demotes this turn (flov_routing);
         // the channel's fault hook does the actual killing.
         net_->router(id).view().link_dead[dir_index(d)] = true;
@@ -341,7 +335,7 @@ void FlovNetwork::request_wakeup(NodeId requester, NodeId target, Cycle now) {
   fabric_.send(now, m);
 }
 
-FlovNetwork::ProtocolStats FlovNetwork::protocol_stats(Cycle now) const {
+ProtocolStats FlovNetwork::protocol_stats(Cycle now) const {
   ProtocolStats s;
   for (const auto& h : hscs_) {
     s.sleeps += h->sleep_entries();
@@ -361,12 +355,6 @@ FlovNetwork::ProtocolStats FlovNetwork::protocol_stats(Cycle now) const {
         static_cast<double>(s.sleep_cycles) / static_cast<double>(now);
   }
   return s;
-}
-
-int FlovNetwork::dead_router_count() const {
-  int n = 0;
-  for (char c : dead_mask_) n += c != 0;
-  return n;
 }
 
 int FlovNetwork::gated_router_count() const {
@@ -399,15 +387,9 @@ void FlovNetwork::publish_metrics(telemetry::MetricsRegistry& reg,
     reg.counter("fault.signals_dropped") += f.signals_dropped;
     reg.counter("fault.signals_delayed") += f.signals_delayed;
     reg.counter("fault.signals_duplicated") += f.signals_duplicated;
-    reg.counter("fault.flits_dropped") += f.flits_dropped;
-    reg.counter("fault.flits_delayed") += f.flits_delayed;
     reg.counter("fault.spurious_wakeups") += f.spurious_wakeups;
+    publish_link_fault_metrics(reg, *fault_, dead_router_count(), dead_links_);
     if (fault_->hard_at() > 0) {
-      // Hard-fault keys only exist when the hard knobs are armed, so
-      // transient-only manifests stay byte-stable across this change.
-      reg.counter("fault.hard_killed_flits") += f.hard_killed;
-      reg.gauge("fault.dead_routers") = static_cast<double>(dead_router_count());
-      reg.gauge("fault.dead_links") = static_cast<double>(dead_links_);
       reg.counter("flov.wake_requests_dropped") += wake_requests_dropped_;
     }
   }

@@ -46,15 +46,36 @@ class FlovNetwork final : public NocSystem {
   }
   Network& network() override { return *net_; }
   const Network& network() const override { return *net_; }
+  bool has_power_fsm() const override { return true; }
   std::uint8_t power_state_code(NodeId node) const override {
     return static_cast<std::uint8_t>(hscs_[node]->state());
   }
   const char* name() const override {
     return mode_ == FlovMode::kRestricted ? "rFLOV" : "gFLOV";
   }
+  PowerTracker& power() override { return *power_; }
+  const PowerTracker& power() const override { return *power_; }
+  const FaultInjector* fault_injector() const override { return fault_.get(); }
+  /// Per-node hard-fault flags (flipped once at fault.hard_at_cycle; shared
+  /// with every router's hold-for-wakeup test via Router::set_dead_mask).
+  const std::vector<char>& dead_mask() const override { return dead_mask_; }
+  int dead_link_count() const override { return dead_links_; }
+  /// WakeupTriggers swallowed because the target is dead (each is a packet
+  /// waiting on a corpse; the sender's retransmit/dead-declaration path is
+  /// what eventually resolves it).
+  std::uint64_t wake_requests_dropped() const override {
+    return wake_requests_dropped_;
+  }
+  /// Routers asleep or waking up.
+  int gated_router_count() const override;
+  ProtocolStats protocol_stats(Cycle now) const override;
+  /// Registers/updates the handshake-protocol and fault-injection metrics
+  /// ("flov.*" / "fault.*") in `reg`.
+  void publish_metrics(telemetry::MetricsRegistry& reg,
+                       Cycle now) const override;
+  /// HSC + occupancy dump of every non-quiescent router.
+  void dump_state(Cycle now) const override;
 
-  PowerTracker& power() { return *power_; }
-  const PowerTracker& power() const { return *power_; }
   FlovMode mode() const { return mode_; }
 
   HandshakeController& hsc(NodeId id) { return *hscs_[id]; }
@@ -86,45 +107,8 @@ class FlovNetwork final : public NocSystem {
   /// flags the wakeup directly.
   void request_wakeup(NodeId requester, NodeId target, Cycle now);
 
-  /// The armed fault injector, or null when running fault-free.
-  FaultInjector* fault_injector() { return fault_.get(); }
-  const FaultInjector* fault_injector() const { return fault_.get(); }
-
-  // --- hard-fault introspection (PROTOCOL.md §8) ---
-  /// Per-node hard-fault flags (flipped once at fault.hard_at_cycle; shared
-  /// with every router's hold-for-wakeup test via Router::set_dead_mask).
-  const std::vector<char>& dead_mask() const { return dead_mask_; }
+  /// PROTOCOL.md §8: true once `id` hard-faulted.
   bool router_dead(NodeId id) const { return dead_mask_[id] != 0; }
-  int dead_router_count() const;
-  int dead_link_count() const { return dead_links_; }
-  /// WakeupTriggers swallowed because the target is dead (each is a packet
-  /// waiting on a corpse; the sender's retransmit/dead-declaration path is
-  /// what eventually resolves it).
-  std::uint64_t wake_requests_dropped() const { return wake_requests_dropped_; }
-
-  /// Stall diagnostics: HSC + occupancy dump of every non-quiescent router.
-  void dump_state(Cycle now) const;
-
-  // Aggregate stats.
-  int gated_router_count() const;
-
-  struct ProtocolStats {
-    std::uint64_t sleeps = 0;         ///< completed Sleep entries
-    std::uint64_t wakeups = 0;        ///< completed wakeups
-    std::uint64_t drain_aborts = 0;
-    Cycle sleep_cycles = 0;           ///< total router-cycles spent gated
-    double avg_gated_routers = 0.0;   ///< sleep_cycles / elapsed cycles
-    std::uint64_t hs_resends = 0;     ///< recovery re-sends (HSC retries)
-    std::uint64_t trigger_resends = 0;
-    std::uint64_t psr_block_clears = 0;
-    std::uint64_t self_captures = 0;  ///< bypass self-destined captures
-    std::uint64_t recoveries = 0;     ///< watchdog attempt_recovery calls
-  };
-  ProtocolStats protocol_stats(Cycle now) const;
-
-  /// Registers/updates the handshake-protocol and fault-injection metrics
-  /// ("flov.*" / "fault.*") in `reg`.
-  void publish_metrics(telemetry::MetricsRegistry& reg, Cycle now) const;
 
  private:
   /// Nearest router in `dir` from `b` (exclusive) whose datapath is
@@ -182,7 +166,6 @@ class FlovNetwork final : public NocSystem {
   /// Hard-fault state (all zero unless faults.hard_faults_armed()).
   std::vector<char> dead_mask_;
   int dead_links_ = 0;
-  bool hard_applied_ = false;
   std::uint64_t wake_requests_dropped_ = 0;
 };
 

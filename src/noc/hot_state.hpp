@@ -51,6 +51,10 @@ enum class RouterMode : std::uint8_t {
   kDead,
 };
 
+/// Lower-case mode name ("pipeline", "bypass", "parked", "dead") used by
+/// incident records.
+const char* to_string(RouterMode m);
+
 /// One FLOV bypass output latch (Section III): holds at most one flit for
 /// exactly one cycle before forward_latches pushes it out.
 struct FlovLatch {

@@ -56,9 +56,6 @@ class FabricManager {
 
   void step(Cycle now);
 
-  /// Adjusts the epoch batching interval at run time (full-system runs).
-  void set_min_epoch_gap(Cycle gap) { cfg_.min_epoch_gap = gap; }
-
   /// True while the network-wide injection stall is in force.
   bool stalled() const { return phase_ != Phase::kStable; }
   bool router_powered(NodeId id) const { return powered_[id]; }

@@ -24,22 +24,12 @@ RpNetwork::RpNetwork(NocParams params, const EnergyParams& energy,
   if (faults.any()) {
     fault_ = std::make_unique<FaultInjector>(faults, net_->num_nodes());
     arm_link_faults(*net_, *fault_);
-    for (NodeId id = 0; id < net_->num_nodes(); ++id) {
-      net_->router(id).set_kill_callback(
-          [f = fault_.get(), n = net_.get(), id](const Flit& fl) {
-            f->note_hard_killed(fl);
-            n->note_flit_dropped(id);
-          });
-    }
+    arm_kill_accounting(*net_, *fault_);
   }
 }
 
 void RpNetwork::step(Cycle now) {
-  if (fault_ && !hard_applied_ && fault_->hard_at() > 0 &&
-      now >= fault_->hard_at()) {
-    hard_applied_ = true;
-    apply_hard_faults(now);
-  }
+  if (fault_ && fault_->hard_faults_strike(now)) apply_hard_faults(now);
   // The FM steps FIRST: a gating change reported this cycle must assert
   // the injection stall before any NI starts a packet under stale tables
   // (e.g. toward a just-reactivated core whose router is still parked).
@@ -64,7 +54,7 @@ void RpNetwork::apply_hard_faults(Cycle now) {
   fm_->on_hard_fault(dead_mask_, dead_links, now);
 }
 
-int RpNetwork::parked_router_count() const {
+int RpNetwork::gated_router_count() const {
   int n = 0;
   for (NodeId i = 0; i < geom_.num_nodes(); ++i) {
     if (!fm_->router_powered(i)) ++n;
@@ -72,27 +62,15 @@ int RpNetwork::parked_router_count() const {
   return n;
 }
 
-int RpNetwork::dead_router_count() const {
-  int n = 0;
-  for (char c : dead_mask_) n += c != 0;
-  return n;
-}
-
 void RpNetwork::publish_metrics(telemetry::MetricsRegistry& reg) const {
   reg.counter("rp.reconfigurations") += fm_->reconfigurations();
   reg.counter("rp.purged_packets") += fm_->purged_packets();
-  reg.gauge("rp.parked_routers") = static_cast<double>(parked_router_count());
+  reg.gauge("rp.parked_routers") = static_cast<double>(gated_router_count());
   reg.gauge("rp.last_reconfig_duration") =
       static_cast<double>(fm_->last_reconfig_duration());
   if (fault_) {
-    const FaultInjector::Counters& f = fault_->counters();
-    reg.counter("fault.flits_dropped") += f.flits_dropped;
-    reg.counter("fault.flits_delayed") += f.flits_delayed;
+    publish_link_fault_metrics(reg, *fault_, dead_router_count(), dead_links_);
     if (fault_->hard_at() > 0) {
-      reg.counter("fault.hard_killed_flits") += f.hard_killed;
-      reg.gauge("fault.dead_routers") =
-          static_cast<double>(dead_router_count());
-      reg.gauge("fault.dead_links") = static_cast<double>(dead_links_);
       reg.counter("rp.quarantined") += fm_->quarantined();
     }
   }

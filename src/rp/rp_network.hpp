@@ -42,23 +42,25 @@ class RpNetwork final : public NocSystem {
   Network& network() override { return *net_; }
   const Network& network() const override { return *net_; }
   const char* name() const override { return "RP"; }
+  PowerTracker& power() override { return *power_; }
+  const PowerTracker& power() const override { return *power_; }
+  const FaultInjector* fault_injector() const override { return fault_.get(); }
+  const std::vector<char>& dead_mask() const override { return dead_mask_; }
+  int dead_link_count() const override { return dead_links_; }
+  /// Routers the fabric manager holds parked (dead and quarantined ones
+  /// included).
+  int gated_router_count() const override;
+  void publish_metrics(telemetry::MetricsRegistry& reg,
+                       Cycle now) const override {
+    (void)now;
+    publish_metrics(reg);
+  }
+  /// Registers/updates the fabric-manager metrics ("rp.*") and the
+  /// link-fault metrics ("fault.*") in `reg`.
+  void publish_metrics(telemetry::MetricsRegistry& reg) const;
 
-  PowerTracker& power() { return *power_; }
-  const PowerTracker& power() const { return *power_; }
   FabricManager& fabric_manager() { return *fm_; }
   const FabricManager& fabric_manager() const { return *fm_; }
-
-  int parked_router_count() const;
-
-  /// The armed fault injector, or null when running fault-free.
-  FaultInjector* fault_injector() { return fault_.get(); }
-  const FaultInjector* fault_injector() const { return fault_.get(); }
-  const std::vector<char>& dead_mask() const { return dead_mask_; }
-  int dead_router_count() const;
-  int dead_link_count() const { return dead_links_; }
-
-  /// Registers/updates the fabric-manager metrics ("rp.*") in `reg`.
-  void publish_metrics(telemetry::MetricsRegistry& reg) const;
 
  private:
   /// Applies the armed hard faults once, at fault.hard_at_cycle: fate-hashed
@@ -76,7 +78,6 @@ class RpNetwork final : public NocSystem {
   std::vector<bool> always_on_;
   std::vector<char> dead_mask_;
   int dead_links_ = 0;
-  bool hard_applied_ = false;
 };
 
 }  // namespace flov

@@ -2,7 +2,6 @@
 
 #include "fault/fault_wiring.hpp"
 #include "noc/router.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace flov {
 
@@ -19,22 +18,12 @@ BaselineNetwork::BaselineNetwork(NocParams params, const EnergyParams& energy,
   if (faults.any()) {
     fault_ = std::make_unique<FaultInjector>(faults, net_->num_nodes());
     arm_link_faults(*net_, *fault_);
-    for (NodeId id = 0; id < net_->num_nodes(); ++id) {
-      net_->router(id).set_kill_callback(
-          [f = fault_.get(), n = net_.get(), id](const Flit& fl) {
-            f->note_hard_killed(fl);
-            n->note_flit_dropped(id);
-          });
-    }
+    arm_kill_accounting(*net_, *fault_);
   }
 }
 
 void BaselineNetwork::step(Cycle now) {
-  if (fault_ && !hard_applied_ && fault_->hard_at() > 0 &&
-      now >= fault_->hard_at()) {
-    hard_applied_ = true;
-    apply_hard_faults(now);
-  }
+  if (fault_ && fault_->hard_faults_strike(now)) apply_hard_faults(now);
   net_->step(now);
 }
 
@@ -53,21 +42,9 @@ void BaselineNetwork::apply_hard_faults(Cycle now) {
   }
 }
 
-int BaselineNetwork::dead_router_count() const {
-  int n = 0;
-  for (char c : dead_mask_) n += c != 0;
-  return n;
-}
-
 void BaselineNetwork::publish_metrics(telemetry::MetricsRegistry& reg) const {
-  if (!fault_) return;
-  const FaultInjector::Counters& f = fault_->counters();
-  reg.counter("fault.flits_dropped") += f.flits_dropped;
-  reg.counter("fault.flits_delayed") += f.flits_delayed;
-  if (fault_->hard_at() > 0) {
-    reg.counter("fault.hard_killed_flits") += f.hard_killed;
-    reg.gauge("fault.dead_routers") = static_cast<double>(dead_router_count());
-    reg.gauge("fault.dead_links") = static_cast<double>(dead_links_);
+  if (fault_) {
+    publish_link_fault_metrics(reg, *fault_, dead_router_count(), dead_links_);
   }
 }
 

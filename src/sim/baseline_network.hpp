@@ -34,17 +34,16 @@ class BaselineNetwork final : public NocSystem {
   Network& network() override { return *net_; }
   const Network& network() const override { return *net_; }
   const char* name() const override { return "Baseline"; }
-
-  PowerTracker& power() { return *power_; }
-  const PowerTracker& power() const { return *power_; }
-
-  /// The armed fault injector, or null when running fault-free.
-  FaultInjector* fault_injector() { return fault_.get(); }
-  const FaultInjector* fault_injector() const { return fault_.get(); }
-  const std::vector<char>& dead_mask() const { return dead_mask_; }
-  int dead_router_count() const;
-  int dead_link_count() const { return dead_links_; }
-
+  PowerTracker& power() override { return *power_; }
+  const PowerTracker& power() const override { return *power_; }
+  const FaultInjector* fault_injector() const override { return fault_.get(); }
+  const std::vector<char>& dead_mask() const override { return dead_mask_; }
+  int dead_link_count() const override { return dead_links_; }
+  void publish_metrics(telemetry::MetricsRegistry& reg,
+                       Cycle now) const override {
+    (void)now;
+    publish_metrics(reg);
+  }
   /// Registers/updates the fault metrics in `reg` (no-op fault-free).
   void publish_metrics(telemetry::MetricsRegistry& reg) const;
 
@@ -60,7 +59,6 @@ class BaselineNetwork final : public NocSystem {
   std::unique_ptr<FaultInjector> fault_;
   std::vector<char> dead_mask_;
   int dead_links_ = 0;
-  bool hard_applied_ = false;
 };
 
 }  // namespace flov

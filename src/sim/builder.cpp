@@ -29,38 +29,27 @@ Scheme scheme_from_string(const std::string& name) {
 BuiltSystem build_system(Scheme scheme, const NocParams& params,
                          const EnergyParams& energy,
                          std::vector<bool> always_on,
-                         const FaultParams& faults) {
+                         const FaultParams& faults,
+                         const FabricManagerConfig& rp_cfg) {
   BuiltSystem out;
   switch (scheme) {
-    case Scheme::kBaseline: {
-      auto sys = std::make_unique<BaselineNetwork>(params, energy, faults);
-      out.power = &sys->power();
-      out.system = std::move(sys);
+    case Scheme::kBaseline:
+      out.system = std::make_unique<BaselineNetwork>(params, energy, faults);
       break;
-    }
-    case Scheme::kRFlov: {
-      auto sys = std::make_unique<FlovNetwork>(params, FlovMode::kRestricted,
-                                               energy, faults);
-      out.power = &sys->power();
-      out.system = std::move(sys);
+    case Scheme::kRFlov:
+      out.system = std::make_unique<FlovNetwork>(params, FlovMode::kRestricted,
+                                                 energy, faults);
       break;
-    }
-    case Scheme::kGFlov: {
-      auto sys = std::make_unique<FlovNetwork>(params, FlovMode::kGeneralized,
-                                               energy, faults);
-      out.power = &sys->power();
-      out.system = std::move(sys);
+    case Scheme::kGFlov:
+      out.system = std::make_unique<FlovNetwork>(
+          params, FlovMode::kGeneralized, energy, faults);
       break;
-    }
-    case Scheme::kRp: {
-      auto sys = std::make_unique<RpNetwork>(params, energy,
-                                             FabricManagerConfig{},
-                                             std::move(always_on), faults);
-      out.power = &sys->power();
-      out.system = std::move(sys);
+    case Scheme::kRp:
+      out.system = std::make_unique<RpNetwork>(params, energy, rp_cfg,
+                                               std::move(always_on), faults);
       break;
-    }
   }
+  out.power = &out.system->power();
   return out;
 }
 

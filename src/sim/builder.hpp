@@ -9,6 +9,7 @@
 #include "noc/system_iface.hpp"
 #include "power/energy_model.hpp"
 #include "power/power_tracker.hpp"
+#include "rp/fabric_manager.hpp"
 
 namespace flov {
 
@@ -37,9 +38,12 @@ struct BuiltSystem {
 /// the handshake fabric and the flit links; RP and Baseline have no
 /// handshake fabric, so only the flit-link fates (transient drop/delay and
 /// the hard router/link deaths of PROTOCOL.md §8) apply there.
+/// `rp_cfg`: RP's fabric-manager settings (e.g. the epoch gap full-system
+/// runs batch core sleeps with); ignored by other schemes.
 BuiltSystem build_system(Scheme scheme, const NocParams& params,
                          const EnergyParams& energy,
                          std::vector<bool> always_on = {},
-                         const FaultParams& faults = {});
+                         const FaultParams& faults = {},
+                         const FabricManagerConfig& rp_cfg = {});
 
 }  // namespace flov

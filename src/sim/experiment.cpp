@@ -4,9 +4,8 @@
 #include <memory>
 
 #include "common/log.hpp"
-#include "flov/flov_network.hpp"
-#include "rp/rp_network.hpp"
-#include "sim/baseline_network.hpp"
+#include "fault/fault_injector.hpp"
+#include "noc/router.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 #include "traffic/gating_scenario.hpp"
@@ -18,39 +17,14 @@ namespace flov {
 
 namespace {
 
-/// Diagnostic dump on a watchdog stall: every non-quiescent router's
-/// occupancy, plus the full handshake FSM picture for FLOV schemes.
-void dump_stall_state(NocSystem& sys, Cycle now) {
-  std::fprintf(stderr, "[watchdog] --- %s stalled, state at cycle %llu ---\n",
-               sys.name(), static_cast<unsigned long long>(now));
-  if (auto* f = dynamic_cast<FlovNetwork*>(&sys)) {
-    f->dump_state(now);
-    return;
-  }
-  Network& net = sys.network();
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    const Router& r = net.router(id);
-    if (!r.completely_empty()) r.dump_occupancy(now);
-  }
-}
-
-const char* router_mode_name(RouterMode m) {
-  switch (m) {
-    case RouterMode::kPipeline: return "pipeline";
-    case RouterMode::kBypass: return "bypass";
-    case RouterMode::kParked: return "parked";
-    case RouterMode::kDead: return "dead";
-  }
-  return "?";
-}
-
-/// Machine-parseable twin of dump_stall_state: one incident object with
-/// every router that holds flits or is not plainly powered (coordinates,
-/// datapath mode, protocol state, occupancy).
-void record_stall_incident(NocSystem& sys, telemetry::StructuredSink& sink,
-                           Cycle now, Cycle stalled_for, bool recovered) {
-  Network& net = sys.network();
-  auto* f = dynamic_cast<FlovNetwork*>(&sys);
+/// Machine-parseable twin of the watchdog's stderr dump: one incident
+/// object with every router that holds flits or is not plainly powered
+/// (coordinates, datapath mode, protocol state, occupancy).
+void record_stall_incident(const NocSystem& sys,
+                           telemetry::StructuredSink& sink, Cycle now,
+                           Cycle stalled_for, bool recovered) {
+  const Network& net = sys.network();
+  const bool fsm = sys.has_power_fsm();
   telemetry::JsonWriter w;
   w.begin_object();
   w.kv("kind", "watchdog_stall");
@@ -64,7 +38,7 @@ void record_stall_incident(NocSystem& sys, telemetry::StructuredSink& sink,
     const Router& r = net.router(id);
     const int flits = r.buffered_flits();
     const RouterMode m = r.mode();
-    const PowerState ps = f ? f->hsc(id).state() : PowerState::kActive;
+    const auto ps = static_cast<PowerState>(sys.power_state_code(id));
     if (flits == 0 && m == RouterMode::kPipeline &&
         ps == PowerState::kActive) {
       continue;
@@ -74,8 +48,8 @@ void record_stall_incident(NocSystem& sys, telemetry::StructuredSink& sink,
     w.kv("router", id);
     w.kv("x", c.x);
     w.kv("y", c.y);
-    w.kv("mode", router_mode_name(m));
-    if (f) w.kv("power_state", to_string(ps));
+    w.kv("mode", to_string(m));
+    if (fsm) w.kv("power_state", to_string(ps));
     w.kv("buffered_flits", flits);
     w.end_object();
   }
@@ -145,11 +119,10 @@ void record_dead_packets(Network& net, telemetry::StructuredSink& sink) {
 /// Post-mortem of the hard-fault wave: which routers died (with
 /// coordinates), how many directed links died, and how many wake requests
 /// were addressed to a corpse.
-void record_hard_fault_summary(NocSystem& sys,
-                               const std::vector<char>& dead_mask,
-                               int dead_links, std::uint64_t wake_dropped,
+void record_hard_fault_summary(const NocSystem& sys,
                                telemetry::StructuredSink& sink) {
-  Network& net = sys.network();
+  const Network& net = sys.network();
+  const std::vector<char>& dead_mask = sys.dead_mask();
   telemetry::JsonWriter w;
   w.begin_object();
   w.kv("kind", "hard_fault_summary");
@@ -157,9 +130,7 @@ void record_hard_fault_summary(NocSystem& sys,
   w.key("dead_routers");
   w.begin_array();
   for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    if (id >= static_cast<NodeId>(dead_mask.size()) || !dead_mask[id]) {
-      continue;
-    }
+    if (!dead_mask[id]) continue;
     const Coord c = net.geom().coord(id);
     w.begin_object();
     w.kv("router", id);
@@ -168,8 +139,8 @@ void record_hard_fault_summary(NocSystem& sys,
     w.end_object();
   }
   w.end_array();
-  w.kv("dead_links", dead_links);
-  w.kv("wake_requests_dropped", wake_dropped);
+  w.kv("dead_links", sys.dead_link_count());
+  w.kv("wake_requests_dropped", sys.wake_requests_dropped());
   w.end_object();
   sink.add(w.take());
 }
@@ -185,6 +156,71 @@ bool fully_drained(Network& net) {
   return true;
 }
 
+/// Forward-progress watchdog: if no flit ejects for `window` cycles while
+/// the fabric holds traffic, dump state, try one scheme-level recovery and
+/// record the stall as an incident. The probe runs every 1024 cycles:
+/// total_ejected_flits()/in_flight_empty() are O(1) cached counters, and
+/// the throttle keeps the sampling points (and hence recovery timing)
+/// identical to earlier builds.
+struct Watchdog {
+  NocSystem& sys;
+  telemetry::StructuredSink& incidents;
+  Cycle window;  ///< 0 = disabled
+  /// sim.max_cycles_hard is armed: the caller opted into partial results,
+  /// so an unrecoverable stall stops the run instead of aborting.
+  bool partial_results_ok;
+  std::uint64_t last_ejected = 0;
+  Cycle last_progress = 0;
+  std::uint64_t recoveries = 0;
+  bool armed = true;  ///< one recovery attempt per stall episode
+
+  /// False when the run must stop at `now`.
+  bool check(Cycle now) {
+    if (window == 0 || (now % 1024) != 0) return true;
+    const Network& net = sys.network();
+    const std::uint64_t ej = net.total_ejected_flits();
+    if (ej != last_ejected || net.in_flight_empty()) {
+      last_ejected = ej;
+      last_progress = now;
+      armed = true;
+      return true;
+    }
+    if (now - last_progress < window) return true;
+    FLOV_TRACE(telemetry::kTraceRecovery,
+               telemetry::TraceEventType::kWatchdogStall, now, -1,
+               now - last_progress, last_ejected);
+    std::fprintf(stderr, "[watchdog] --- %s stalled, state at cycle %llu ---\n",
+                 sys.name(), static_cast<unsigned long long>(now));
+    sys.dump_state(now);
+    const bool recovered = armed && sys.attempt_recovery(now);
+    record_stall_incident(sys, incidents, now, now - last_progress, recovered);
+    FLOV_TRACE(telemetry::kTraceRecovery,
+               telemetry::TraceEventType::kRecoveryAttempt, now, -1,
+               recovered ? 1 : 0, recoveries + 1);
+    if (!recovered && partial_results_ok) return false;
+    FLOV_CHECK(recovered,
+               std::string("no forward progress (possible deadlock) in ") +
+                   sys.name());
+    armed = false;  // a second stall in this episode aborts
+    recoveries++;
+    last_progress = now;  // fresh window for the recovery to act
+    return true;
+  }
+};
+
+/// Reliable-delivery end state, summed over every NI.
+void sum_reliable_counters(const Network& net, RunResult& r) {
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    const NetworkInterface& ni = net.ni(id);
+    r.packets_acked += ni.packets_acked();
+    r.packets_dead += ni.packets_dead();
+    r.packets_purged += ni.packets_purged();
+    r.killed_at_source += ni.killed_at_source();
+    r.retransmits += ni.retransmits();
+    r.dup_packets += ni.dup_packets();
+  }
+}
+
 }  // namespace
 
 RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
@@ -192,7 +228,6 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
                                    /*always_on=*/{}, cfg.faults);
   NocSystem& sys = *built.system;
   Network& net = sys.network();
-  auto* flov_sys = dynamic_cast<FlovNetwork*>(&sys);
 
   auto metrics =
       std::make_shared<telemetry::MetricsRegistry>(cfg.telemetry.metrics_window);
@@ -220,17 +255,10 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
           : GatingScenario::epochs(net.geom(), cfg.gated_fraction,
                                    cfg.gating_changes, cfg.seed);
 
-  // The scheme's armed fault injector (null on a fault-free build): needed
-  // before the run loop so the ejection callback can ask about soft-error
-  // corruption per delivered packet.
-  const FaultInjector* fault = nullptr;
-  if (flov_sys) {
-    fault = flov_sys->fault_injector();
-  } else if (auto* p = dynamic_cast<const RpNetwork*>(&sys)) {
-    fault = p->fault_injector();
-  } else if (auto* b = dynamic_cast<const BaselineNetwork*>(&sys)) {
-    fault = b->fault_injector();
-  }
+  // The scheme's armed fault injector (null on a fault-free build): the
+  // ejection callback asks it about soft-error corruption per delivered
+  // packet.
+  const FaultInjector* fault = sys.fault_injector();
 
   LatencyStats stats(/*router_pipeline_cycles=*/3, cfg.timeline_window,
                      cfg.noc.latency_hist_max);
@@ -253,19 +281,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   if (cfg.verify) {
     VerifierOptions vopts = cfg.verifier;
     vopts.sink = incidents.get();  // violations also land as JSON incidents
-    if (flov_sys) {
-      verifier = std::make_unique<InvariantVerifier>(*flov_sys, vopts);
-    } else {
-      // Conservation-only form needs the scheme's armed injector so faulted
-      // flit drops (and hard-killed flits) balance the equation.
-      const FaultInjector* fi = nullptr;
-      if (auto* p = dynamic_cast<const RpNetwork*>(&sys)) {
-        fi = p->fault_injector();
-      } else if (auto* b = dynamic_cast<const BaselineNetwork*>(&sys)) {
-        fi = b->fault_injector();
-      }
-      verifier = std::make_unique<InvariantVerifier>(net, vopts, fi);
-    }
+    verifier = std::make_unique<InvariantVerifier>(sys, vopts);
   }
 
   const Cycle total = cfg.warmup + cfg.measure;
@@ -282,75 +298,54 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
     octx.incidents = incidents.get();
     cfg.ops->begin_run(octx);
   }
-  std::uint64_t last_ejected = 0;
-  Cycle last_progress = 0;
-  std::uint64_t recoveries = 0;
-  bool recovery_armed = true;  ///< one recovery attempt per stall episode
+
+  // One fabric cycle, shared by the measured run and the drain tail.
+  auto step_fabric = [&](Cycle now) {
+    sys.step(now);
+    if (verifier) verifier->step(now);
+    if (cfg.ops != nullptr && cfg.ops->wants_tick(now)) cfg.ops->tick(now);
+  };
+  // Sampled series; series.gated_routers exists only for schemes with a
+  // handshake power FSM.
+  const bool sample_gated = sys.has_power_fsm();
+  auto sample_series = [&](Cycle now) {
+    if (cfg.telemetry.metrics_window == 0 ||
+        (now % cfg.telemetry.metrics_window) != 0) {
+      return;
+    }
+    metrics->series("series.in_network_flits")
+        .add(now, static_cast<double>(net.in_network_flits()));
+    metrics->series("series.queued_packets")
+        .add(now, static_cast<double>(net.total_queued_packets()));
+    if (sample_gated) {
+      metrics->series("series.gated_routers")
+          .add(now, static_cast<double>(sys.gated_router_count()));
+    }
+  };
+  auto hit_hard_cap = [&](Cycle now) {
+    if (hard_cap == 0 || now < hard_cap) return false;
+    record_budget_incident(sys, *incidents, "hard_cycle_cap", now, hard_cap);
+    return true;
+  };
+
+  Watchdog watchdog{sys, *incidents, cfg.watchdog,
+                    /*partial_results_ok=*/hard_cap != 0};
   bool aborted = false;
-  Cycle end_cycle = total;  ///< first cycle NOT simulated
   Cycle now = 0;
-  while (now < total) {
-    if (hard_cap != 0 && now >= hard_cap) {
-      record_budget_incident(sys, *incidents, "hard_cycle_cap", now, hard_cap);
+  for (; now < total; ++now) {
+    if (hit_hard_cap(now)) {
       aborted = true;
-      end_cycle = now;
       break;
     }
     scenario.apply(sys, now);
     traffic.step(now);
-    sys.step(now);
-    if (verifier) verifier->step(now);
-    if (cfg.ops != nullptr && cfg.ops->wants_tick(now)) cfg.ops->tick(now);
+    step_fabric(now);
     if (now == cfg.warmup) built.power->begin_window(now);
-    if (cfg.telemetry.metrics_window != 0 &&
-        (now % cfg.telemetry.metrics_window) == 0) {
-      metrics->series("series.in_network_flits")
-          .add(now, static_cast<double>(net.in_network_flits()));
-      metrics->series("series.queued_packets")
-          .add(now, static_cast<double>(net.total_queued_packets()));
-      if (flov_sys) {
-        metrics->series("series.gated_routers")
-            .add(now, static_cast<double>(flov_sys->gated_router_count()));
-      }
+    sample_series(now);
+    if (!watchdog.check(now)) {
+      aborted = true;
+      break;
     }
-    // Progress probe: total_ejected_flits()/in_flight_empty() are O(1)
-    // cached counters, so the probe itself is free; the %1024 throttle is
-    // kept anyway so the progress-sampling points (and hence recovery
-    // timing) stay identical to earlier builds.
-    if (cfg.watchdog && (now % 1024) == 0) {
-      const std::uint64_t ej = net.total_ejected_flits();
-      if (ej != last_ejected || net.in_flight_empty()) {
-        last_ejected = ej;
-        last_progress = now;
-        recovery_armed = true;
-      } else if (now - last_progress >= cfg.watchdog) {
-        FLOV_TRACE(telemetry::kTraceRecovery,
-                   telemetry::TraceEventType::kWatchdogStall, now, -1,
-                   now - last_progress, last_ejected);
-        dump_stall_state(sys, now);
-        const bool recovered = recovery_armed && sys.attempt_recovery(now);
-        record_stall_incident(sys, *incidents, now, now - last_progress,
-                              recovered);
-        FLOV_TRACE(telemetry::kTraceRecovery,
-                   telemetry::TraceEventType::kRecoveryAttempt, now, -1,
-                   recovered ? 1 : 0, recoveries + 1);
-        if (!recovered && hard_cap != 0) {
-          // With a hard cycle cap armed the caller opted into
-          // partial-results-over-abort: surface the unrecoverable stall as
-          // an incident and stop the run instead of FLOV_CHECK-aborting.
-          aborted = true;
-          end_cycle = now;
-          break;
-        }
-        FLOV_CHECK(recovered,
-                   std::string("no forward progress (possible deadlock) in ") +
-                       to_string(cfg.scheme));
-        recovery_armed = false;  // a second stall in this episode aborts
-        recoveries++;
-        last_progress = now;  // fresh window for the recovery to act
-      }
-    }
-    ++now;
   }
 
   // Post-measurement drain: traffic generation and gating changes stop;
@@ -360,26 +355,20 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   // abort — the verifier's final sweep still runs on whatever remains.
   if (!aborted && cfg.drain_max != 0) {
     const Cycle drain_end = total + cfg.drain_max;
-    Cycle dnow = total;
-    while (dnow < drain_end) {
-      if (hard_cap != 0 && dnow >= hard_cap) {
-        record_budget_incident(sys, *incidents, "hard_cycle_cap", dnow,
-                               hard_cap);
+    for (; now < drain_end; ++now) {
+      if (hit_hard_cap(now)) {
         aborted = true;
         break;
       }
       if (fully_drained(net)) break;
-      sys.step(dnow);
-      if (verifier) verifier->step(dnow);
-      if (cfg.ops != nullptr && cfg.ops->wants_tick(dnow)) cfg.ops->tick(dnow);
-      ++dnow;
+      step_fabric(now);
     }
-    end_cycle = dnow;
-    if (!aborted && dnow == drain_end && !fully_drained(net)) {
-      record_budget_incident(sys, *incidents, "drain_exhausted", dnow,
+    if (!aborted && now == drain_end && !fully_drained(net)) {
+      record_budget_incident(sys, *incidents, "drain_exhausted", now,
                              cfg.drain_max);
     }
   }
+  const Cycle end_cycle = now;  ///< first cycle NOT simulated
 
   RunResult r;
   r.scheme = to_string(cfg.scheme);
@@ -395,39 +384,20 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   r.injected_flits = net.total_injected_flits();
   r.ejected_flits = net.total_ejected_flits();
   r.escape_packets = stats.escape_packets();
-  r.watchdog_recoveries = recoveries;
-  if (FlovNetwork* f = flov_sys) {
-    r.gated_routers_end = f->gated_router_count();
-    const auto ps = f->protocol_stats(end_cycle);
-    r.avg_gated_routers = ps.avg_gated_routers;
-    r.protocol_sleeps = ps.sleeps;
-    r.protocol_wakeups = ps.wakeups;
-    r.hs_resends = ps.hs_resends;
-    r.trigger_resends = ps.trigger_resends;
-    r.self_captures = ps.self_captures;
-    r.dead_routers = f->dead_router_count();
-    r.dead_links = f->dead_link_count();
-    r.wake_requests_dropped = f->wake_requests_dropped();
-    if (r.dead_routers > 0 || r.dead_links > 0) {
-      record_hard_fault_summary(sys, f->dead_mask(), r.dead_links,
-                                r.wake_requests_dropped, *incidents);
-    }
-  } else if (auto* p = dynamic_cast<RpNetwork*>(&sys)) {
-    r.gated_routers_end = p->parked_router_count();
-    r.avg_gated_routers = r.gated_routers_end;
-    r.dead_routers = p->dead_router_count();
-    r.dead_links = p->dead_link_count();
-    if (r.dead_routers > 0 || r.dead_links > 0) {
-      record_hard_fault_summary(sys, p->dead_mask(), r.dead_links, 0,
-                                *incidents);
-    }
-  } else if (auto* b = dynamic_cast<BaselineNetwork*>(&sys)) {
-    r.dead_routers = b->dead_router_count();
-    r.dead_links = b->dead_link_count();
-    if (r.dead_routers > 0 || r.dead_links > 0) {
-      record_hard_fault_summary(sys, b->dead_mask(), r.dead_links, 0,
-                                *incidents);
-    }
+  r.watchdog_recoveries = watchdog.recoveries;
+  r.gated_routers_end = sys.gated_router_count();
+  const ProtocolStats ps = sys.protocol_stats(end_cycle);
+  r.avg_gated_routers = ps.avg_gated_routers;
+  r.protocol_sleeps = ps.sleeps;
+  r.protocol_wakeups = ps.wakeups;
+  r.hs_resends = ps.hs_resends;
+  r.trigger_resends = ps.trigger_resends;
+  r.self_captures = ps.self_captures;
+  r.dead_routers = sys.dead_router_count();
+  r.dead_links = sys.dead_link_count();
+  r.wake_requests_dropped = sys.wake_requests_dropped();
+  if (r.dead_routers > 0 || r.dead_links > 0) {
+    record_hard_fault_summary(sys, *incidents);
   }
   if (fault) {
     r.flits_dropped_by_faults = fault->counters().flits_dropped;
@@ -436,15 +406,7 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   }
   r.packets_corrupted = packets_corrupted;
   if (cfg.noc.reliable) {
-    for (NodeId id = 0; id < net.num_nodes(); ++id) {
-      const NetworkInterface& ni = net.ni(id);
-      r.packets_acked += ni.packets_acked();
-      r.packets_dead += ni.packets_dead();
-      r.packets_purged += ni.packets_purged();
-      r.killed_at_source += ni.killed_at_source();
-      r.retransmits += ni.retransmits();
-      r.dup_packets += ni.dup_packets();
-    }
+    sum_reliable_counters(net, r);
     record_dead_packets(net, *incidents);
   }
   if (verifier) {
@@ -465,15 +427,9 @@ RunResult run_synthetic(const SyntheticExperimentConfig& cfg) {
   net.publish_metrics(*metrics);
   stats.publish_metrics(*metrics);
   built.power->publish_metrics(*metrics, end_cycle);
-  if (flov_sys) {
-    flov_sys->publish_metrics(*metrics, end_cycle);
-  } else if (auto* p = dynamic_cast<RpNetwork*>(&sys)) {
-    p->publish_metrics(*metrics);
-  } else if (auto* b = dynamic_cast<BaselineNetwork*>(&sys)) {
-    b->publish_metrics(*metrics);
-  }
+  sys.publish_metrics(*metrics, end_cycle);
   metrics->counter("run.packets_generated") += traffic.generated_packets();
-  metrics->counter("run.watchdog_recoveries") += recoveries;
+  metrics->counter("run.watchdog_recoveries") += r.watchdog_recoveries;
   metrics->counter("run.cycles") += end_cycle;
   if (aborted) metrics->counter("run.aborted") += 1;
   if (cfg.noc.reliable) {

@@ -13,40 +13,28 @@
 
 namespace flov {
 
-namespace {
-
-const char* router_mode_name(RouterMode m) {
-  switch (m) {
-    case RouterMode::kPipeline: return "pipeline";
-    case RouterMode::kBypass: return "bypass";
-    case RouterMode::kParked: return "parked";
-    case RouterMode::kDead: return "dead";
-  }
-  return "?";
-}
-
-}  // namespace
-
-InvariantVerifier::InvariantVerifier(FlovNetwork& sys, VerifierOptions opts)
-    : net_(sys.network()),
-      flov_(&sys),
-      fault_(sys.fault_injector()),
-      opts_(opts) {
-  FLOV_CHECK(opts_.check_interval >= 1, "verifier interval must be >= 1");
-  const int n = net_.num_nodes();
-  prev_state_.assign(n, PowerState::kActive);
-  last_fsm_change_.assign(n, 0);
-  psr_fail_streak_.assign(n, {0, 0, 0, 0});
-  net_.add_eject_callback(
-      [this](const PacketRecord& rec) { observe_eject(rec); });
-}
-
 InvariantVerifier::InvariantVerifier(Network& net, VerifierOptions opts,
                                      const FaultInjector* fault)
-    : net_(net), fault_(fault), opts_(opts) {
+    : InvariantVerifier(net, nullptr, fault, opts) {}
+
+InvariantVerifier::InvariantVerifier(NocSystem& sys, VerifierOptions opts)
+    : InvariantVerifier(sys.network(), dynamic_cast<FlovNetwork*>(&sys),
+                        sys.fault_injector(), opts) {}
+
+InvariantVerifier::InvariantVerifier(Network& net, FlovNetwork* flov,
+                                     const FaultInjector* fault,
+                                     VerifierOptions opts)
+    : net_(net), flov_(flov), fault_(fault), opts_(opts) {
   FLOV_CHECK(opts_.check_interval >= 1, "verifier interval must be >= 1");
-  opts_.check_credits = false;  // meaningful only with the FLOV handover
-  opts_.check_psr = false;
+  if (flov_) {
+    const int n = net_.num_nodes();
+    prev_state_.assign(n, PowerState::kActive);
+    last_fsm_change_.assign(n, 0);
+    psr_fail_streak_.assign(n, {0, 0, 0, 0});
+  } else {
+    opts_.check_credits = false;  // meaningful only with the FLOV handover
+    opts_.check_psr = false;
+  }
   net_.add_eject_callback(
       [this](const PacketRecord& rec) { observe_eject(rec); });
 }
@@ -80,7 +68,7 @@ void InvariantVerifier::violation(Cycle now, const std::string& what) {
       w.kv("router", id);
       w.kv("x", c.x);
       w.kv("y", c.y);
-      w.kv("mode", router_mode_name(m));
+      w.kv("mode", to_string(m));
       if (flov_) w.kv("power_state", to_string(ps));
       w.end_object();
     }

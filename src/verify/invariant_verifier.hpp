@@ -46,6 +46,7 @@ class StructuredSink;
 
 class FlovNetwork;
 class FaultInjector;
+class NocSystem;
 
 struct VerifierOptions {
   Cycle check_interval = 1;  ///< run the per-cycle checks every N cycles
@@ -75,9 +76,10 @@ struct VerifierOptions {
 
 class InvariantVerifier {
  public:
-  /// Full verifier for a FLOV system (conservation + credits + PSRs).
-  /// Registers itself as an ejection observer on every NI.
-  InvariantVerifier(FlovNetwork& sys, VerifierOptions opts = {});
+  /// Full verifier for a FLOV system (conservation + credits + PSRs); the
+  /// conservation-only form below, fed the scheme's armed injector, for
+  /// any other scheme. Registers itself as an ejection observer on every NI.
+  InvariantVerifier(NocSystem& sys, VerifierOptions opts = {});
 
   /// Conservation-only verifier for any bare Network (Baseline; RP parks
   /// routers and voids credits by design, so only flit conservation is a
@@ -100,6 +102,11 @@ class InvariantVerifier {
   const std::string& last_violation() const { return last_violation_; }
 
  private:
+  /// Every public constructor lands here; `flov` null selects the
+  /// conservation-only form.
+  InvariantVerifier(Network& net, FlovNetwork* flov,
+                    const FaultInjector* fault, VerifierOptions opts);
+
   void check_conservation(Cycle now);
   /// Reliable-delivery bookkeeping (noc.reliable only): per NI, every
   /// allocated sequence number is acked, declared dead, or still tracked in

@@ -123,7 +123,7 @@ TEST(FabricManager, ReconfigurationStallsAndResumes) {
   run(900);
   EXPECT_FALSE(sys.fabric_manager().stalled());
   EXPECT_TRUE(sys.injection_allowed(0));
-  EXPECT_EQ(sys.parked_router_count(), 1);
+  EXPECT_EQ(sys.gated_router_count(), 1);
   EXPECT_EQ(sys.fabric_manager().reconfigurations(), 1u);
   EXPECT_GE(sys.fabric_manager().last_reconfig_duration(), 750u);
 }
@@ -155,10 +155,10 @@ TEST(FabricManager, UnparkOnCoreWake) {
   };
   sys.set_core_gated(5, true, now);
   run(1000);
-  ASSERT_EQ(sys.parked_router_count(), 1);
+  ASSERT_EQ(sys.gated_router_count(), 1);
   sys.set_core_gated(5, false, now);
   run(1000);
-  EXPECT_EQ(sys.parked_router_count(), 0);
+  EXPECT_EQ(sys.gated_router_count(), 0);
   EXPECT_EQ(sys.fabric_manager().reconfigurations(), 2u);
 }
 
@@ -194,7 +194,7 @@ TEST(FabricManager, PurgesPacketsQueuedAtParkedSources) {
   sys.network().enqueue(pkt(5, 10));
   run(1500);
   EXPECT_EQ(sys.fabric_manager().purged_packets(), 2u);
-  EXPECT_EQ(sys.parked_router_count(), 1);
+  EXPECT_EQ(sys.gated_router_count(), 1);
 }
 
 TEST(FabricManager, MinEpochGapBatchesChanges) {
@@ -219,7 +219,7 @@ TEST(FabricManager, MinEpochGapBatchesChanges) {
   EXPECT_EQ(sys.fabric_manager().reconfigurations(), 2u);
   // Gated {1,2,4,6}: router 4 must stay powered or corner 0 (an active
   // endpoint) would be cut off — the FM parks only 3 of the 4.
-  EXPECT_EQ(sys.parked_router_count(), 3);
+  EXPECT_EQ(sys.gated_router_count(), 3);
 }
 
 TEST(RpRouting, TrafficAvoidsParkedRoutersAndDelivers) {
@@ -233,7 +233,7 @@ TEST(RpRouting, TrafficAvoidsParkedRoutersAndDelivers) {
   };
   for (NodeId n : {5, 6, 9}) sys.set_core_gated(n, true, now);
   run(1500);
-  ASSERT_EQ(sys.parked_router_count(), 3);
+  ASSERT_EQ(sys.gated_router_count(), 3);
   // All-to-all among the remaining active cores.
   int count = 0;
   for (NodeId s = 0; s < 16; ++s) {
