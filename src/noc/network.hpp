@@ -139,6 +139,10 @@ class Network {
   /// traversals, fly-overs, escape diversions, self-captures).
   void publish_metrics(telemetry::MetricsRegistry& reg) const;
 
+  /// Read-only view of the hot-state slab, for observers that walk every
+  /// router's buffers and latches in node order (the invariant verifier).
+  const MeshHotState& hot_state() const { return hot_; }
+
   /// The inter-router flit channel leaving `node` toward `d` (null at mesh
   /// edges). Exposed for the FLOV credit-handover and for tests.
   Channel<Flit>* flit_channel(NodeId node, Direction d) {

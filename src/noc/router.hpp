@@ -154,6 +154,10 @@ class Router {
   void reset_output_credits_full(Direction out_port);
   Channel<Credit>* credit_in(Direction d) { return credit_in_[dir_index(d)]; }
   Channel<Flit>* flit_in(Direction d) { return in_flit_[dir_index(d)]; }
+  /// The flit channel this router sends on toward `d` (Local: ejection).
+  const Channel<Flit>* flit_out(Direction d) const {
+    return out_flit_[dir_index(d)];
+  }
 
   /// Hook invoked when a packet must wake a sleeping destination router
   /// before it can be forwarded (Section IV-A Wakeup trigger).
