@@ -97,27 +97,26 @@ void BM_NetworkCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkCycle)->Arg(1)->Arg(3)->ArgName("vnets");
 
-/// Full experiment throughput including gating machinery: one iteration =
-/// one gFLOV cycle with `gate_pct`% of the cores off. The gated fraction is
-/// exactly the population the active-set scheduler skips, so throughput
-/// should GROW with the gating level.
-void BM_GFlovCycle(benchmark::State& state) {
-  const double gated_fraction = static_cast<double>(state.range(0)) / 100.0;
+/// One gFLOV cycle on a k x k mesh with `gated_fraction` of the cores off
+/// and 4-flit packets offered at 0.005 per node per cycle, timed after
+/// `warmup` untimed cycles.
+void run_gflov_cycles(benchmark::State& state, int k, double gated_fraction,
+                      Cycle warmup) {
   NocParams p;
-  p.width = 8;
-  p.height = 8;
+  p.width = k;
+  p.height = k;
   FlovNetwork sys(p, FlovMode::kGeneralized, EnergyParams{});
-  MeshGeometry g(8, 8);
+  const NodeId n = k * k;
   Rng rng(7);
-  for (NodeId n = 0; n < 64; ++n) {
-    if (rng.next_bool(gated_fraction)) sys.set_core_gated(n, true, 0);
+  for (NodeId i = 0; i < n; ++i) {
+    if (rng.next_bool(gated_fraction)) sys.set_core_gated(i, true, 0);
   }
   Cycle now = 0;
   sys.network().set_eject_callback([](const PacketRecord&) {});
-  for (auto _ : state) {
-    for (NodeId s = 0; s < 64; ++s) {
+  auto cycle = [&] {
+    for (NodeId s = 0; s < n; ++s) {
       if (sys.core_gated(s) || !rng.next_bool(0.005)) continue;
-      NodeId d = static_cast<NodeId>(rng.next_below(64));
+      NodeId d = static_cast<NodeId>(rng.next_below(n));
       if (d == s || sys.core_gated(d)) continue;
       PacketDescriptor pd;
       pd.src = s;
@@ -127,10 +126,34 @@ void BM_GFlovCycle(benchmark::State& state) {
       sys.network().enqueue(pd);
     }
     sys.step(now++);
-  }
+  };
+  while (now < warmup) cycle();
+  for (auto _ : state) cycle();
   state.SetItemsProcessed(state.iterations());
 }
+
+/// Full experiment throughput including gating machinery: one iteration =
+/// one 8x8 gFLOV cycle with `gate_pct`% of the cores off. The gated
+/// fraction is exactly the population the active-set scheduler skips, so
+/// throughput should GROW with the gating level.
+void BM_GFlovCycle(benchmark::State& state) {
+  run_gflov_cycles(state, 8, static_cast<double>(state.range(0)) / 100.0,
+                   /*warmup=*/0);
+}
 BENCHMARK(BM_GFlovCycle)->Arg(40)->Arg(50)->ArgName("gate_pct");
+
+/// BM_GFlovCycle on a 32x32 mesh (serial stepping). At this size the
+/// per-node serial control plane — HSC walk, gating scan — would dominate
+/// unless it follows protocol activity instead of the node count. The
+/// first 2000 cycles (gating transitions, the fabric filling up) run
+/// untimed: a 32x32 fabric takes that long to reach its steady load, and
+/// timing the transient made the per-cycle cost depend on how many
+/// iterations the timer happened to pick.
+void BM_GFlovCycle32(benchmark::State& state) {
+  run_gflov_cycles(state, 32, static_cast<double>(state.range(0)) / 100.0,
+                   /*warmup=*/2000);
+}
+BENCHMARK(BM_GFlovCycle32)->Arg(40)->ArgName("gate_pct");
 
 /// Cost of one invariant-verifier check on the BM_GFlovCycle/gate_pct:40
 /// fabric: one iteration = one gFLOV cycle, of which only

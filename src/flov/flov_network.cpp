@@ -28,11 +28,13 @@ FlovNetwork::FlovNetwork(const NocParams& params, FlovMode mode,
   trigger_sent_at_.assign(net_->num_nodes(), 0);
   dead_mask_.assign(net_->num_nodes(), 0);
   hscs_.reserve(net_->num_nodes());
+  hsc_live_.init(net_->num_nodes());
   const bool parallel = net_->num_domains() > 1;
   if (parallel) staged_wakeups_.resize(net_->num_domains());
   for (NodeId id = 0; id < net_->num_nodes(); ++id) {
     hscs_.push_back(std::make_unique<HandshakeController>(
         id, mode_, params_, &net_->router(id), &fabric_, this));
+    hscs_.back()->set_wake_target(&hsc_live_, id);
     net_->router(id).set_dead_mask(&dead_mask_);
     if (parallel) {
       // Workers may not touch HSC/fabric state: stage the request and let
@@ -88,7 +90,19 @@ void FlovNetwork::step(Cycle now) {
     for (auto& stage : staged_wakeups_) stage.clear();
   }
   fabric_.step(now);
-  for (auto& h : hscs_) h->step(now);
+  // Active-set walk in id order. A flag is read when the walk reaches it,
+  // so a re-arm raised mid-walk for a higher id is stepped this cycle and
+  // one for a lower id the next — as when stepping every HSC, because a
+  // skipped HSC's step would have been a no-op.
+  for (NodeId id = 0; id < net_->num_nodes(); ++id) {
+    HandshakeController& h = *hscs_[id];
+    if (!hsc_live_.live(id)) {
+      FLOV_DCHECK(h.quiescent(), "skipped HSC is not quiescent");
+      continue;
+    }
+    h.step(now);
+    if (h.quiescent()) hsc_live_.clear(id);
+  }
   if (fault_) {
     const NodeId t = fault_->spurious_wakeup_target(now);
     if (t != kInvalidNode) {
@@ -106,6 +120,7 @@ void FlovNetwork::apply_hard_faults(Cycle now) {
     if (fault_->router_dies(id) && !gating_forbidden(id)) {
       dead_mask_[id] = 1;
       hscs_[id]->kill(now);
+      note_gating_change();
       net_->ni(id).kill(now);
       net_->wake_router(id);
     }
@@ -149,6 +164,7 @@ void FlovNetwork::dump_state(Cycle now) const {
 
 void FlovNetwork::set_core_gated(NodeId core, bool gated, Cycle now) {
   hscs_[core]->set_core_gated(gated, now);
+  note_gating_change();
 }
 
 bool FlovNetwork::path_clear(NodeId from, Direction dir, NodeId to) const {
@@ -270,6 +286,7 @@ void FlovNetwork::wake_handover(NodeId w, Cycle now) {
 
 void FlovNetwork::refresh_view(NodeId w) {
   net_->wake_router(w);  // view changes can unblock held allocations
+  hsc_live_.mark(w);     // and can block outputs (psr_block_timeout)
   NeighborhoodView& v = net_->router(w).view();
   const MeshGeometry& g = net_->geom();
   for (Direction d : kMeshDirections) {

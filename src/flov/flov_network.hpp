@@ -140,6 +140,10 @@ class FlovNetwork final : public NocSystem {
   SignalFabric fabric_;
   std::unique_ptr<FaultInjector> fault_;
   std::vector<std::unique_ptr<HandshakeController>> hscs_;
+  /// HSCs step() must visit this cycle. Each HSC re-arms its own flag from
+  /// its entry points (and refresh_view() re-arms the refreshed router's);
+  /// step() clears a flag once the HSC is quiescent().
+  WakeList hsc_live_;
   /// One outstanding WakeupTrigger per sleeping target (reset at each
   /// Sleep entry); packet holders re-request every cycle otherwise. The
   /// timestamp re-arms the trigger after `trigger_retry_timeout` (loss

@@ -21,17 +21,16 @@ HandshakeController::HandshakeController(NodeId id, FlovMode mode,
 }
 
 void HandshakeController::set_core_gated(bool gated, Cycle now) {
+  (void)now;  // the FSM reacts on its next step
   if (dead_) return;  // a corpse's core never comes back
   core_gated_ = gated;
-  if (!gated && state_ == PowerState::kSleep) {
-    // The FSM wakes on its next step; nothing else to do here.
-    (void)now;
-  }
+  wake();
 }
 
 void HandshakeController::kill(Cycle now) {
   if (dead_) return;
   dead_ = true;
+  wake();
   core_gated_ = true;  // directly: set_core_gated now refuses changes
   // A drain already in progress must run to completion, never abort.
   if (state_ == PowerState::kDraining) drain_deadline_ = kNeverCycle;
@@ -265,6 +264,29 @@ void HandshakeController::service_obligations(Cycle now) {
   }
 }
 
+bool HandshakeController::quiescent() const {
+  if (!owed_.empty()) return false;
+  if (params_.psr_block_timeout != 0) {
+    for (bool blocked : router_->view().output_blocked) {
+      if (blocked) return false;
+    }
+  }
+  switch (state_) {
+    case PowerState::kActive:
+      return !dead_ && !core_gated_;
+    case PowerState::kSleep:
+      // A reliable gated NI can refill without any HSC event (retransmit
+      // timers), so only the non-reliable gated sleeper is parked.
+      return params_.sleep_reannounce_interval == 0 &&
+             (dead_ ||
+              (core_gated_ && !wakeup_pending_ && !params_.reliable));
+    case PowerState::kDraining:
+    case PowerState::kWakeup:
+      return false;
+  }
+  return false;
+}
+
 void HandshakeController::step(Cycle now) {
   service_obligations(now);
   expire_stale_blocks(now);
@@ -355,9 +377,11 @@ void HandshakeController::trigger_wakeup(Cycle now) {
   (void)now;
   if (dead_) return;  // the dead do not answer
   if (state_ == PowerState::kSleep) wakeup_pending_ = true;
+  wake();
 }
 
 void HandshakeController::recovery_kick(Cycle now) {
+  wake();
   if (state_ != PowerState::kDraining && state_ != PowerState::kWakeup) return;
   const HsType type = state_ == PowerState::kDraining
                           ? HsType::kDrainReq
@@ -515,6 +539,7 @@ bool HandshakeController::stale_signal(const HsMessage& msg,
 }
 
 bool HandshakeController::on_signal(const HsMessage& msg, Cycle now) {
+  wake();  // PSRs, obligations and the FSM state may all change below
   const Direction from_dir = opposite(msg.travel);
   if (stale_signal(msg, from_dir)) {
     // A straggler from a previous power episode of the sender (delayed or

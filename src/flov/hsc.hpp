@@ -27,6 +27,13 @@
 // ActiveNotify so the requester's stale view heals. All of this is
 // quiescent in a fault-free run: retries only fire when something is
 // overdue, and the optional behaviours default off.
+//
+// Active set (docs/PERFORMANCE.md, "Control-plane active set"): the owner
+// steps an HSC only while its flag in a WakeList is set. After a step the
+// flag is cleared if quiescent() holds — a predicate over the FSM state
+// alone, never the clock, so a quiescent HSC's step stays a no-op at every
+// later cycle. Each entry point that can change that state (set_core_gated,
+// kill, on_signal, trigger_wakeup, recovery_kick) re-arms the flag itself.
 #pragma once
 
 #include <array>
@@ -36,6 +43,7 @@
 #include "common/geometry.hpp"
 #include "common/types.hpp"
 #include "flov/handshake_signals.hpp"
+#include "noc/active_set.hpp"
 #include "noc/noc_params.hpp"
 #include "noc/power_state.hpp"
 
@@ -73,6 +81,19 @@ class HandshakeController {
 
   /// Per-cycle FSM evaluation (after routers and signal deliveries).
   void step(Cycle now);
+
+  /// Active-set hook: the entry points below re-arm flag `index` of `list`
+  /// (set once by the owner; null in HSC unit tests).
+  void set_wake_target(WakeList* list, int index) {
+    wake_ = list;
+    wake_index_ = index;
+  }
+
+  /// True when step() is a no-op now and at every later cycle until an
+  /// entry point re-arms this HSC: nothing owed, not mid-transition, no
+  /// drain to start, no wake reason, no heartbeat and no PSR block to time
+  /// out. Reads no clock, so the answer cannot go stale while skipped.
+  bool quiescent() const;
 
   /// Signal arrival; returns true if this router absorbs it.
   bool on_signal(const HsMessage& msg, Cycle now);
@@ -151,6 +172,9 @@ class HandshakeController {
   /// DrainDone variant: echoes the obligation's epoch, not epoch_.
   void send_done(Cycle now, Direction travel, NodeId target,
                  std::uint32_t epoch);
+  void wake() {
+    if (wake_) wake_->mark(wake_index_);
+  }
 
   NodeId id_;
   FlovMode mode_;
@@ -158,6 +182,8 @@ class HandshakeController {
   Router* router_;
   SignalFabric* fabric_;
   FlovNetwork* owner_;
+  WakeList* wake_ = nullptr;
+  int wake_index_ = 0;
 
   PowerState state_ = PowerState::kActive;
   bool core_gated_ = false;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <vector>
 
 namespace flov {
 
@@ -52,14 +53,16 @@ class WakeList {
   bool live(int i) const { return buf_[static_cast<std::size_t>(i)] != 0; }
   int size() const { return size_; }
 
-  /// ORs every set flag into `dst` and clears this list. Used at the
-  /// domain-parallel barrier to merge per-domain staged wake marks into the
-  /// real liveness list (marks are idempotent, so merge order is free).
-  void drain_into(WakeList& dst) {
-    for (int i = 0; i < size_; ++i) {
-      if (buf_[i]) {
-        dst.buf_[i] = 1;
-        buf_[i] = 0;
+  /// ORs the set flags among `ids` into `dst` and clears them. Used at the
+  /// domain-parallel barrier to merge a domain's staged wake marks into the
+  /// real liveness list; `ids` must hold every index anything can mark in
+  /// this list (marks are idempotent, so merge order is free).
+  void drain_into(WakeList& dst, const std::vector<std::int32_t>& ids) {
+    for (const std::int32_t i : ids) {
+      const auto k = static_cast<std::size_t>(i);
+      if (buf_[k]) {
+        dst.buf_[k] = 1;
+        buf_[k] = 0;
       }
     }
   }

@@ -54,6 +54,7 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
   if (num_domains_ > 1) {
     wake_stages_.resize(static_cast<std::size_t>(num_domains_));
     for (auto& s : wake_stages_) s.init(n, /*live=*/false);
+    stage_receivers_.resize(static_cast<std::size_t>(num_domains_));
     eject_stage_.resize(static_cast<std::size_t>(num_domains_));
   }
 
@@ -122,9 +123,11 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
         // Flit channel: sender a, receiver b. Credit channel: sender b.
         fch->set_staging(true);
         fch->set_wake_target(&wake_stages_[node_domain_[a]], b);
+        stage_receivers_[node_domain_[a]].push_back(b);
         boundary_flit_.push_back(fch);
         cch->set_staging(true);
         cch->set_wake_target(&wake_stages_[node_domain_[b]], a);
+        stage_receivers_[node_domain_[b]].push_back(a);
         boundary_credit_.push_back(cch);
       } else {
         fch->set_wake_target(&router_live_, b);
@@ -155,6 +158,10 @@ Network::Network(const NocParams& params, RoutingFunction* routing,
     nis_[id].connect_credit_to_router(cr_down);
     routers_[id].connect_credit_in(Direction::Local, cr_down);
     cr_down->set_wake_target(&router_live_, id);
+  }
+  for (auto& ids : stage_receivers_) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   }
   FLOV_CHECK(flit_channels_.size() == flit_cap, "flit channel under-reserve");
   FLOV_CHECK(credit_channels_.size() == credit_cap,
@@ -229,7 +236,9 @@ void Network::merge_staged() {
   // order; none depend on worker timing.
   for (Channel<Flit>* ch : boundary_flit_) ch->merge_staged();
   for (Channel<Credit>* ch : boundary_credit_) ch->merge_staged();
-  for (auto& stage : wake_stages_) stage.drain_into(router_live_);
+  for (int d = 0; d < num_domains_; ++d) {
+    wake_stages_[d].drain_into(router_live_, stage_receivers_[d]);
+  }
   // Ejection replay: each domain's stage is already ascending by node id
   // (stepping order), and domains own disjoint id sets, so a k-way
   // min-front merge reproduces exactly the serial callback order. (With

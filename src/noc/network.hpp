@@ -199,6 +199,10 @@ class Network {
   /// Per-domain staged router wake marks for cross-domain channel sends;
   /// ORed into router_live_ at the barrier.
   std::vector<WakeList> wake_stages_;
+  /// Per-domain ascending ids of the routers receiving on that domain's
+  /// boundary channels: the only flags its wake stage can hold, so the
+  /// barrier drains these instead of all N entries.
+  std::vector<std::vector<NodeId>> stage_receivers_;
   /// Channels whose sender and receiver live in different domains; they
   /// run in staging mode and are merged (in wiring == deterministic order)
   /// at the barrier. Row splits put N/S links on the boundary, column

@@ -45,6 +45,12 @@ class NocSystem {
   virtual void set_core_gated(NodeId core, bool gated, Cycle now) = 0;
   virtual bool core_gated(NodeId core) const = 0;
 
+  /// Moves whenever some core_gated() value may have changed: every scheme
+  /// bumps it on each write of its gating state (OS events, hard-fault
+  /// deaths, quarantines). Readers that cache the gated set (the traffic
+  /// generator) rescan only when it moved.
+  std::uint64_t gating_version() const { return gating_version_; }
+
   /// True when `src` may inject new packets this cycle (false for gated
   /// cores, and for everyone during RP's reconfiguration stall).
   virtual bool injection_allowed(NodeId src) const = 0;
@@ -120,6 +126,12 @@ class NocSystem {
       if (!r.completely_empty()) r.dump_occupancy(now);
     }
   }
+
+ protected:
+  void note_gating_change() { ++gating_version_; }
+
+ private:
+  std::uint64_t gating_version_ = 0;
 };
 
 }  // namespace flov

@@ -33,7 +33,10 @@ void RpNetwork::step(Cycle now) {
   // The FM steps FIRST: a gating change reported this cycle must assert
   // the injection stall before any NI starts a packet under stale tables
   // (e.g. toward a just-reactivated core whose router is still parked).
+  const std::uint64_t quarantined = fm_->quarantined();
   fm_->step(now);
+  // A quarantine marks the cut-off routers' cores gated.
+  if (fm_->quarantined() != quarantined) note_gating_change();
   net_->step(now);
 }
 
@@ -52,6 +55,7 @@ void RpNetwork::apply_hard_faults(Cycle now) {
     net_->wake_router(id);
   }
   fm_->on_hard_fault(dead_mask_, dead_links, now);
+  note_gating_change();  // the FM folds every dead core into its gated set
 }
 
 int RpNetwork::gated_router_count() const {

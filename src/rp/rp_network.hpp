@@ -32,6 +32,7 @@ class RpNetwork final : public NocSystem {
   void step(Cycle now) override;
   void set_core_gated(NodeId core, bool gated, Cycle now) override {
     fm_->set_core_gated(core, gated, now);
+    note_gating_change();
   }
   bool core_gated(NodeId core) const override {
     return fm_->core_gated(core);

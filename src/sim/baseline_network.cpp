@@ -34,6 +34,7 @@ void BaselineNetwork::apply_hard_faults(Cycle now) {
     if (!fault_->router_dies(id)) continue;
     dead_mask_[id] = 1;
     gated_[id] = true;  // the attached core is gone with its router
+    note_gating_change();
     // Worm-coherent death: finish worms in progress, eat new ones whole,
     // then go dark (see Router::begin_death).
     net_->router(id).begin_death(now);

@@ -28,6 +28,7 @@ class BaselineNetwork final : public NocSystem {
     (void)now;
     if (dead_mask_[core]) return;  // a dead node's gating is permanent
     gated_[core] = gated;
+    note_gating_change();
   }
   bool core_gated(NodeId core) const override { return gated_[core]; }
   bool injection_allowed(NodeId src) const override { return !gated_[src]; }

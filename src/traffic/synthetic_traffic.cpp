@@ -17,14 +17,27 @@ SyntheticTraffic::SyntheticTraffic(NocSystem* sys,
   const int n = sys_->network().num_nodes();
   rngs_.reserve(n);
   for (int i = 0; i < n; ++i) rngs_.push_back(seeder.split());
-  active_.update(n, [](NodeId) { return true; });
+  rescan();
+}
+
+void SyntheticTraffic::rescan() {
+  active_.update(sys_->network().num_nodes(),
+                 [&](NodeId i) { return !sys_->core_gated(i); });
+  gating_version_ = sys_->gating_version();
 }
 
 void SyntheticTraffic::step(Cycle now) {
-  const int n = sys_->network().num_nodes();
-  active_.update(n, [&](NodeId i) { return !sys_->core_gated(i); });
-  for (NodeId src = 0; src < n; ++src) {
-    if (!active_[src]) continue;
+  if (sys_->gating_version() != gating_version_) rescan();
+#ifndef NDEBUG
+  for (NodeId i = 0; i < sys_->network().num_nodes(); ++i) {
+    FLOV_DCHECK(active_[i] == !sys_->core_gated(i),
+                "cached active set differs from a gating rescan");
+  }
+#endif
+  // Ascending id order over the active cores: the same per-node RNG draws
+  // as walking every node and skipping the gated ones.
+  for (int r = 0; r < active_.size(); ++r) {
+    const NodeId src = active_.at(r);
     if (!rngs_[src].next_bool(packet_prob_)) continue;
     const NodeId dst = pattern_->dest(src, active_, rngs_[src]);
     if (dst == kInvalidNode) {

@@ -29,12 +29,16 @@ class SyntheticTraffic {
   std::uint64_t skipped_inactive_dest() const { return skipped_; }
 
  private:
+  /// Re-reads the ungated cores and records the gating version read.
+  void rescan();
+
   NocSystem* sys_;
   const TrafficPattern* pattern_;
   double packet_prob_;
   int packet_size_;
   std::vector<Rng> rngs_;  ///< one independent stream per node
-  ActiveNodes active_;  ///< ungated cores; rebuilt when gating changes
+  ActiveNodes active_;  ///< ungated cores; rescanned when gating changes
+  std::uint64_t gating_version_ = 0;  ///< sys_->gating_version() of active_
   std::uint64_t generated_ = 0;
   std::uint64_t skipped_ = 0;
 };

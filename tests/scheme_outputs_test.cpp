@@ -17,7 +17,12 @@
 //                packet_dead incidents);
 //   * stalling — lossy handshake fabric with the recovery knobs off and a
 //                short watchdog (pins the watchdog_stall incident shape,
-//                whose power_state field is FLOV-only).
+//                whose power_state field is FLOV-only);
+//   * parked   — hard router/link deaths under reliable delivery with the
+//                sleep re-announce, PSR block timeout and handshake retry
+//                knobs all off, so dead routers' HSCs sit still in Sleep
+//                (pins the path where the HSC active set skips them, plus
+//                the gating changes of Baseline deaths and RP quarantines).
 // The hard setup also raises verifier_violation incidents on FLOV (the
 // PSR flips), which pins that incident's FLOV-only power_state field and
 // the verifier's log cap: ~900-1,500 violations leave 200 records and one
@@ -35,13 +40,14 @@
 namespace flov {
 namespace {
 
-enum class Setup { kClean, kHard, kStalling };
+enum class Setup { kClean, kHard, kStalling, kParked };
 
 const char* setup_name(Setup s) {
   switch (s) {
     case Setup::kClean: return "clean";
     case Setup::kHard: return "hard";
     case Setup::kStalling: return "stalling";
+    case Setup::kParked: return "parked";
   }
   return "?";
 }
@@ -103,6 +109,26 @@ SyntheticExperimentConfig make_config(Scheme scheme, Setup setup) {
       ex.faults.flit_drop_rate = 0.001;
       ex.faults.seed = 11;
       break;
+    case Setup::kParked:
+      // The hard setup's deaths without its recovery knobs (all default
+      // off): nothing re-announces, re-sends or times out, so a dead
+      // router's HSC has no work left once it reaches Sleep. RP stays
+      // ungated for the same reason as in the hard setup.
+      ex.inj_rate_flits = 0.05;
+      ex.gated_fraction = scheme == Scheme::kRp ? 0.0 : 0.3;
+      ex.noc.reliable = true;
+      ex.noc.retx_timeout = 64;
+      ex.drain_max = 30000;
+      ex.max_cycles_hard = 200000;
+      ex.verifier.fatal = false;
+      ex.verifier.settle_window = 512;
+      ex.faults.hard_router_pct = 0.10;
+      // Twice the hard setup's link deaths: enough to cut 7 live routers
+      // off RP's up*/down* root, which the fabric manager quarantines.
+      ex.faults.hard_link_pct = 0.08;
+      ex.faults.hard_at_cycle = ex.warmup + ex.measure / 3;
+      ex.faults.seed = 11;
+      break;
   }
   return ex;
 }
@@ -154,7 +180,7 @@ std::uint64_t output_hash(const RunResult& r) {
 
 std::uint64_t pinned_hash(Scheme s, Setup setup) {
   // Index: [setup][scheme in kAllSchemes order: Baseline, RP, rFLOV, gFLOV].
-  static constexpr std::uint64_t kPinned[3][4] = {
+  static constexpr std::uint64_t kPinned[4][4] = {
       // clean
       {0x98a7e8ce10798ba1ull, 0xbdba2cc011a0898full, 0x6d7f0bc0d03f7246ull,
        0xf46df7ec608ee174ull},
@@ -164,6 +190,9 @@ std::uint64_t pinned_hash(Scheme s, Setup setup) {
       // stalling
       {0x22daf9f61ad64fb7ull, 0x9103ff8d70009f82ull, 0xded0778266c220e3ull,
        0xe0958a0b34b4afc3ull},
+      // parked
+      {0x65e2dee4f05a8bcfull, 0x8be1ab55367aaf7dull, 0xdc445503520a38e6ull,
+       0x9fea483fdaafbdd7ull},
   };
   int col = 0;
   for (Scheme k : kAllSchemes) {
@@ -195,7 +224,7 @@ INSTANTIATE_TEST_SUITE_P(
     All, SchemeOutputs,
     ::testing::Combine(::testing::ValuesIn(kAllSchemes),
                        ::testing::Values(Setup::kClean, Setup::kHard,
-                                         Setup::kStalling)),
+                                         Setup::kStalling, Setup::kParked)),
     [](const ::testing::TestParamInfo<Param>& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              setup_name(std::get<1>(info.param));

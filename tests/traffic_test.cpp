@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "sim/baseline_network.hpp"
+#include "sim/builder.hpp"
 #include "traffic/gating_scenario.hpp"
 #include "traffic/synthetic_traffic.hpp"
 #include "traffic/traffic_pattern.hpp"
@@ -208,6 +209,31 @@ TEST(SyntheticTraffic, GatedCoresGenerateNothing) {
   for (Cycle c = 0; c < 5000; ++c) t.step(c);
   // Only node 15 is active, and it has no active destination.
   EXPECT_EQ(t.generated_packets(), 0u);
+}
+
+TEST(SyntheticTraffic, FollowsGatingChangesMadeAfterConstruction) {
+  // The generator caches the active set and rescans it only when the
+  // system's gating version moves, so every scheme's set_core_gated must
+  // move it.
+  for (Scheme s : kAllSchemes) {
+    NocParams p;
+    p.width = 4;
+    p.height = 4;
+    BuiltSystem built = build_system(s, p, EnergyParams{});
+    NocSystem& sys = *built.system;
+    MeshGeometry g(4, 4);
+    UniformPattern u(g);
+    SyntheticTraffic t(&sys, &u, 0.2, 4, 7);
+    for (Cycle c = 0; c < 100; ++c) t.step(c);
+    EXPECT_GT(t.generated_packets(), 0u) << to_string(s);
+    const std::uint64_t version = sys.gating_version();
+    for (NodeId n = 0; n < 15; ++n) sys.set_core_gated(n, true, 100);
+    EXPECT_NE(sys.gating_version(), version) << to_string(s);
+    // Only node 15 is left active, and it has no active destination.
+    const std::uint64_t before = t.generated_packets();
+    for (Cycle c = 100; c < 1100; ++c) t.step(c);
+    EXPECT_EQ(t.generated_packets(), before) << to_string(s);
+  }
 }
 
 }  // namespace
