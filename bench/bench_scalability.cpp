@@ -55,18 +55,6 @@ Result drive(System& sys, const NocParams& p, Cycle change_at, Cycle total,
   return r;
 }
 
-std::vector<int> parse_int_list(const std::string& s) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::stoi(s.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -78,8 +66,7 @@ int main(int argc, char** argv) {
   //            (noc.step_threads); each value adds a full row set.
   // tiles=TXxTY : explicit tile-domain grid (default: auto row bands).
   // Results are bit-identical at any value; only wall time changes.
-  const std::vector<int> threads_list =
-      parse_int_list(cfg.get_string("threads", "1"));
+  const std::vector<long long> threads_list = cfg.get_int_list("threads", "1");
   const int nthreads = static_cast<int>(threads_list.size());
   const std::string tiles = cfg.get_string("tiles", "");
   // Budget the cell pool against the intra-run workers so the bench does
@@ -93,8 +80,8 @@ int main(int argc, char** argv) {
   // sizes= : comma list of mesh edge lengths. The 32/64 rows are the
   // "interactive large mesh" cells the SoA hot path + tile domains target;
   // trim the list (sizes=4,8,12,16) for a quick look.
-  const std::vector<int> sizes =
-      parse_int_list(cfg.get_string("sizes", "4,8,12,16,32,64"));
+  const std::vector<long long> sizes =
+      cfg.get_int_list("sizes", "4,8,12,16,32,64");
   const int nsizes = static_cast<int>(sizes.size());
 
   // One pooled task per (threads, mesh size, system) cell; each builds and
@@ -152,7 +139,7 @@ int main(int argc, char** argv) {
       const Row& row = rows[static_cast<std::size_t>(ti * nsizes + i)];
       const int k = sizes[i];
       std::printf(
-          "%-8s %7d | %12.2f %12.2f %14llu %8.2fs | %12.2f %12.2f %8.2fs\n",
+          "%-8s %7lld | %12.2f %12.2f %14llu %8.2fs | %12.2f %12.2f %8.2fs\n",
           (std::to_string(k) + "x" + std::to_string(k)).c_str(),
           threads_list[ti], row.rp.avg_latency, row.rp.peak_window,
           static_cast<unsigned long long>(row.rp_reconfig), row.rp_wall,

@@ -10,8 +10,8 @@
 
 #include "common/config.hpp"
 #include "sim/experiment.hpp"
+#include "sim/run_options.hpp"
 #include "sim/sweep.hpp"
-#include "telemetry/manifest.hpp"
 
 namespace flov::bench {
 
@@ -26,17 +26,14 @@ inline SweepOptions sweep_from_args(int argc, char** argv) {
 }
 
 /// Standard synthetic-experiment setup from CLI args (Table-I defaults,
-/// paper methodology: 10k warm-up, 100k total cycles).
+/// paper methodology: 10k warm-up, 100k total cycles): every
+/// parse_run_options key, with measure= for the window.
 inline SyntheticExperimentConfig synthetic_from_args(int argc, char** argv) {
   Config cfg;
   cfg.parse_args(argc, argv);
-  SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  ex.energy = EnergyParams::from_config(cfg);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("measure", 90000);
-  ex.seed = cfg.get_int("seed", 1);
-  ex.telemetry = telemetry::TelemetryOptions::from_config(cfg);
+  SyntheticExperimentConfig ex = parse_run_options(cfg, {});
+  ex.measure = cfg.get_int("measure", ex.measure);
+  ex.seed = cfg.get_int("seed", ex.seed);
   return ex;
 }
 
@@ -105,34 +102,11 @@ class ManifestSink {
   void write(const std::vector<SyntheticExperimentConfig>& points,
              const std::vector<RunResult>& results, const SweepOptions& opts) {
     if (!enabled()) return;
-    telemetry::SweepManifest m;
-    m.name = name_;
-    m.config = cfg_;
-    m.jobs = opts.jobs;
-    m.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    telemetry::MetricsRegistry merged = merge_sweep_metrics(results);
-    m.merged = &merged;
-    telemetry::StructuredSink incidents;
-    for (std::size_t i = 0; i < results.size() && i < points.size(); ++i) {
-      telemetry::SweepPointEntry e;
-      e.scheme = results[i].scheme;
-      e.pattern = points[i].pattern;
-      e.inj_rate = points[i].inj_rate_flits;
-      e.gated_fraction = points[i].gated_fraction;
-      e.seed = points[i].seed;
-      e.metrics = results[i].metrics.get();
-      m.points.push_back(e);
-      if (results[i].incidents) {
-        for (const std::string& rec : results[i].incidents->records()) {
-          incidents.add(rec);
-        }
-      }
-    }
-    m.incidents = &incidents;
-    m.write(path_);
+    // No fault echo: the benches set faults per point, not from fault.*.
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start_;
+    write_sweep_manifest(path_, name_, manifest_config(cfg_), opts.jobs,
+                         wall.count(), points, results);
     std::printf("manifest written to %s\n", path_.c_str());
   }
 

@@ -12,9 +12,7 @@
 #include <cstring>
 #include <memory>
 
-#include "common/config.hpp"
-#include "fault/fault_model.hpp"
-#include "sim/experiment.hpp"
+#include "sim/run_options.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/ops/ops_plane.hpp"
 
@@ -95,7 +93,7 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace flov;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
@@ -106,51 +104,22 @@ int main(int argc, char** argv) {
   }
   Config cfg;
   cfg.parse_args(argc, argv);
-  if (const std::string err = cfg.retired_key_error(); !err.empty()) {
-    std::fprintf(stderr, "flov_sim_cli: %s\n", err.c_str());
-    return 1;
+  SyntheticExperimentConfig ex = parse_run_options(cfg, sim_cli_base());
+  ex.scheme =
+      scheme_from_string(cfg.get_string("scheme", to_string(ex.scheme)));
+  ex.pattern = cfg.get_string("pattern", ex.pattern);
+  ex.inj_rate_flits = cfg.get_double("inj", ex.inj_rate_flits);
+  ex.gated_fraction = cfg.get_double("gated", ex.gated_fraction);
+  ex.seed = cfg.get_int("seed", ex.seed);
+  // comma-separated gating change points, e.g. changes=50000,60000
+  for (const long long c : cfg.get_int_list("changes", "")) {
+    ex.gating_changes.push_back(static_cast<Cycle>(c));
   }
-
-  SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  // threads= is shorthand for noc.step_threads=, tiles=TXxTY for
-  // noc.step_tiles_x/y= (intra-run domain workers / explicit tile grid;
-  // bit-identical results at any value — see docs/PERFORMANCE.md).
-  ex.noc.step_threads =
-      static_cast<int>(cfg.get_int("threads", ex.noc.step_threads));
-  ex.noc.apply_tiles_shorthand(cfg.get_string("tiles", ""));
-  ex.energy = EnergyParams::from_config(cfg);
-  ex.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
-  ex.pattern = cfg.get_string("pattern", "uniform");
-  ex.inj_rate_flits = cfg.get_double("inj", 0.02);
-  ex.gated_fraction = cfg.get_double("gated", 0.0);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("cycles", 90000);
-  ex.seed = cfg.get_int("seed", 1);
-  ex.timeline_window = cfg.get_int("timeline", 0);
-  ex.drain_max = cfg.get_int("drain", 0);
-  ex.max_cycles_hard = cfg.get_int("sim.max_cycles_hard", 0);
-  ex.faults = FaultParams::from_config(cfg);
-  ex.verifier = VerifierOptions::from_config(cfg);
-  ex.verify = cfg.get_bool("verify", ex.verify);
-  ex.telemetry = telemetry::TelemetryOptions::from_config(cfg);
   const std::string trace_out = cfg.get_string("trace_out", "");
   const std::string manifest_out = cfg.get_string("manifest", "");
   const std::string incidents_out = cfg.get_string("incidents_out", "");
   if (!trace_out.empty() && ex.telemetry.trace_mask == 0) {
     ex.telemetry.trace_mask = telemetry::kTraceAll;  // implied by trace_out=
-  }
-  if (cfg.has("changes")) {
-    // comma-separated gating change points, e.g. changes=50000,60000
-    const std::string s = cfg.get_string("changes");
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const std::size_t comma = s.find(',', pos);
-      const std::string tok = s.substr(pos, comma - pos);
-      ex.gating_changes.push_back(std::stoull(tok));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
   }
 
   // Ops plane: constructed only when requested — the disabled path adds a
@@ -278,20 +247,7 @@ int main(int argc, char** argv) {
     telemetry::RunManifest m;
     m.name = "flov_sim_cli";
     m.scheme = r.scheme;
-    // Echo every resolved fault.* knob (including defaulted ones) into the
-    // manifest's config so two runs can never silently differ on one.
-    // Ops-plane keys are stripped first: serving /metrics or profiling a
-    // run must leave its manifest byte-identical to a plain run's.
-    Config mcfg;
-    for (const std::string& k : cfg.keys()) {
-      if (k == "serve" || k == "ops_stream" || k == "profile" ||
-          k == "profile_out" || k == "ops.period") {
-        continue;
-      }
-      mcfg.set(k, cfg.get_string(k));
-    }
-    ex.faults.echo_to_config(mcfg);
-    m.config = mcfg;
+    m.config = manifest_config(cfg, &ex.faults);
     m.seed = ex.seed;
     m.wall_seconds = wall_seconds;
     m.trace_path = trace_out;
@@ -301,4 +257,9 @@ int main(int argc, char** argv) {
     std::printf("manifest: %s\n", manifest_out.c_str());
   }
   return 0;
+} catch (const flov::ConfigError& e) {
+  // A usage/config error (malformed value, retired key): one line naming
+  // the key, exit 1.
+  std::fprintf(stderr, "flov_sim_cli: %s\n", e.what());
+  return 1;
 }

@@ -6,22 +6,17 @@
 //                     [steps=9] [seed=1]
 #include <cstdio>
 
-#include "common/config.hpp"
-#include "sim/experiment.hpp"
+#include "sim/run_options.hpp"
 
 int main(int argc, char** argv) {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
 
-  SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  ex.energy = EnergyParams::from_config(cfg);
+  SyntheticExperimentConfig ex = parse_run_options(cfg, sweep_cli_base());
   ex.scheme = scheme_from_string(cfg.get_string("scheme", "gflov"));
   ex.pattern = cfg.get_string("pattern", "uniform");
   ex.inj_rate_flits = cfg.get_double("inj", 0.02);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("cycles", 40000);
   ex.seed = cfg.get_int("seed", 1);
   const int steps = static_cast<int>(cfg.get_int("steps", 9));
 

@@ -6,22 +6,17 @@
 //   e.g. quickstart inj=0.04 gated=0.3 pattern=tornado cycles=50000
 #include <cstdio>
 
-#include "common/config.hpp"
-#include "sim/experiment.hpp"
+#include "sim/run_options.hpp"
 
 int main(int argc, char** argv) {
   using namespace flov;
   Config cfg;
   cfg.parse_args(argc, argv);
 
-  SyntheticExperimentConfig ex;
-  ex.noc = NocParams::from_config(cfg);
-  ex.energy = EnergyParams::from_config(cfg);
+  SyntheticExperimentConfig ex = parse_run_options(cfg, {});
   ex.pattern = cfg.get_string("pattern", "uniform");
   ex.inj_rate_flits = cfg.get_double("inj", 0.02);
   ex.gated_fraction = cfg.get_double("gated", 0.5);
-  ex.warmup = cfg.get_int("warmup", 10000);
-  ex.measure = cfg.get_int("cycles", 90000);
   ex.seed = cfg.get_int("seed", 1);
 
   std::printf("FLOV quickstart: %dx%d mesh, %s traffic, inj=%.3f "

@@ -24,13 +24,12 @@ certificate's certified lower bound on the reference's target metric
 must not fall below the checked-in floor. With --expect-early-stop,
 fails unless the sequential rule resolved before the replication cap.
 
---diff-manifests: strips the VOLATILE fields (wall_seconds, jobs,
-trace_path, threads/tiles, noc.step_threads, noc.step_tiles_x/y — the
-only fields allowed to differ between a serial and a parallel run/sweep
-of the same configuration) recursively from both documents, then
-compares byte-for-byte. Exit 1 on any other difference: this is the
-serial-vs-parallel determinism gate, for sweep-level (jobs=) and
-intra-run (threads= / tiles= domain workers) parallelism.
+--diff-manifests: strips the schemas' own volatile fields (VOLATILE_KEYS)
+recursively from both documents, then compares byte-for-byte. Exit 1 on
+any other difference: this is the determinism gate across jobs=,
+threads=/tiles=, resume and the ops plane. Volatile config keys never
+reach a manifest: the writers drop every key of the one table,
+kVolatileConfigKeys in src/sim/run_options.hpp.
 
 --snapshot: validates flyover-snapshot-v1 documents from the ops
 plane's /snapshot endpoint or an ops_stream= JSONL flight recording
@@ -51,9 +50,7 @@ import json
 import re
 import sys
 
-VOLATILE_KEYS = {"wall_seconds", "jobs", "trace_path", "threads",
-                 "noc.step_threads", "tiles", "noc.step_tiles_x",
-                 "noc.step_tiles_y"}
+VOLATILE_KEYS = {"wall_seconds", "jobs", "trace_path"}
 
 RUN_SCHEMA = "flyover-run-manifest-v1"
 SWEEP_SCHEMA = "flyover-sweep-manifest-v1"

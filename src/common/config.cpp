@@ -1,9 +1,8 @@
 #include "common/config.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
-
-#include "common/log.hpp"
 
 namespace flov {
 namespace {
@@ -13,6 +12,31 @@ std::string trim(const std::string& s) {
   if (b == std::string::npos) return "";
   const auto e = s.find_last_not_of(" \t\r\n");
   return s.substr(b, e - b + 1);
+}
+
+// Strict conversions: the whole value must parse, so "5x" is an error,
+// not 5.
+long long parse_int(const std::string& key, const std::string& v) {
+  char* end = nullptr;
+  errno = 0;
+  long long r = std::strtoll(v.c_str(), &end, 10);
+  if (errno == ERANGE && v[0] != '-') {  // a 64-bit seed keeps its bits
+    errno = 0;
+    r = static_cast<long long>(std::strtoull(v.c_str(), &end, 10));
+  }
+  if (v.empty() || *end != '\0' || errno == ERANGE) {
+    throw ConfigError("config key " + key + " is not an int: " + v);
+  }
+  return r;
+}
+
+double parse_double(const std::string& key, const std::string& v) {
+  char* end = nullptr;
+  const double r = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0') {
+    throw ConfigError("config key " + key + " is not a double: " + v);
+  }
+  return r;
 }
 
 }  // namespace
@@ -47,7 +71,7 @@ std::optional<std::string> Config::find(const std::string& key) const {
 
 std::string Config::get_string(const std::string& key) const {
   auto v = find(key);
-  FLOV_CHECK(v.has_value(), "missing config key: " + key);
+  if (!v) throw ConfigError("missing config key: " + key);
   return *v;
 }
 
@@ -57,11 +81,7 @@ std::string Config::get_string(const std::string& key,
 }
 
 long long Config::get_int(const std::string& key) const {
-  const std::string v = get_string(key);
-  char* end = nullptr;
-  const long long r = std::strtoll(v.c_str(), &end, 10);
-  FLOV_CHECK(end && *end == '\0', "config key " + key + " is not an int: " + v);
-  return r;
+  return parse_int(key, get_string(key));
 }
 
 long long Config::get_int(const std::string& key, long long dflt) const {
@@ -69,12 +89,7 @@ long long Config::get_int(const std::string& key, long long dflt) const {
 }
 
 double Config::get_double(const std::string& key) const {
-  const std::string v = get_string(key);
-  char* end = nullptr;
-  const double r = std::strtod(v.c_str(), &end);
-  FLOV_CHECK(end && *end == '\0',
-             "config key " + key + " is not a double: " + v);
-  return r;
+  return parse_double(key, get_string(key));
 }
 
 double Config::get_double(const std::string& key, double dflt) const {
@@ -85,12 +100,33 @@ bool Config::get_bool(const std::string& key) const {
   const std::string v = get_string(key);
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  FLOV_CHECK(false, "config key " + key + " is not a bool: " + v);
-  return false;
+  throw ConfigError("config key " + key + " is not a bool: " + v);
 }
 
 bool Config::get_bool(const std::string& key, bool dflt) const {
   return has(key) ? get_bool(key) : dflt;
+}
+
+std::vector<std::string> Config::get_list(const std::string& key,
+                                          const std::string& dflt) const {
+  std::vector<std::string> out;
+  std::istringstream is(get_string(key, dflt));
+  for (std::string v; std::getline(is, v, ',');) out.push_back(trim(v));
+  return out;
+}
+
+std::vector<long long> Config::get_int_list(const std::string& key,
+                                            const std::string& dflt) const {
+  std::vector<long long> out;
+  for (const auto& v : get_list(key, dflt)) out.push_back(parse_int(key, v));
+  return out;
+}
+
+std::vector<double> Config::get_double_list(const std::string& key,
+                                            const std::string& dflt) const {
+  std::vector<double> out;
+  for (const auto& v : get_list(key, dflt)) out.push_back(parse_double(key, v));
+  return out;
 }
 
 void Config::parse_args(int argc, char** argv) {
@@ -111,7 +147,9 @@ void Config::parse_text(const std::string& text) {
     line = trim(line);
     if (line.empty()) continue;
     const auto eq = line.find('=');
-    FLOV_CHECK(eq != std::string::npos, "config line missing '=': " + line);
+    if (eq == std::string::npos) {
+      throw ConfigError("config line missing '=': " + line);
+    }
     set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
   }
 }
@@ -130,13 +168,8 @@ std::string Config::to_string() const {
 }
 
 std::string Config::retired_key_error() const {
-  for (const char* k : kRetiredConfigKeys) {
-    if (has(k)) {
-      return std::string(k) +
-             "= was removed with multi-process stepping; parallelize a run "
-             "with threads= (and tiles=), and resume an interrupted sweep "
-             "with checkpoint= + resume=1";
-    }
+  for (const RetiredConfigKey& r : kRetiredConfigKeys) {
+    if (has(r.key)) return std::string(r.key) + "= " + r.reason;
   }
   return "";
 }

@@ -8,16 +8,38 @@
 
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace flov {
 
-/// Keys of removed knobs: multi-process stepping and the self-healing
-/// runtime built on it. See Config::retired_key_error.
-inline constexpr const char* kRetiredConfigKeys[] = {
-    "procs", "noc.step_procs", "sim.snapshot_period", "runstate",
-    "sim.max_recoveries"};
+/// A missing, malformed or retired key. Its message names the key; the
+/// drivers print it once and exit 1.
+class ConfigError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Removed knobs, each with why it went. See Config::retired_key_error.
+struct RetiredConfigKey {
+  const char* key;
+  const char* reason;
+};
+inline constexpr const char* kMultiProcessRemoved =
+    "was removed with multi-process stepping; parallelize a run with "
+    "threads= (and tiles=), and resume an interrupted sweep with "
+    "checkpoint= + resume=1";
+inline constexpr const char* kSweepRetryRemoved =
+    "was removed: a sweep point is a pure function of its config, so a "
+    "retry only rethrew the same error after a sleep; resume a failed sweep "
+    "with checkpoint= + resume=1";
+inline constexpr RetiredConfigKey kRetiredConfigKeys[] = {
+    {"procs", kMultiProcessRemoved}, {"runstate", kMultiProcessRemoved},
+    {"noc.step_procs", kMultiProcessRemoved},
+    {"sim.snapshot_period", kMultiProcessRemoved},
+    {"sim.max_recoveries", kMultiProcessRemoved},
+    {"retries", kSweepRetryRemoved}, {"retry_backoff_ms", kSweepRetryRemoved}};
 
 class Config {
  public:
@@ -31,7 +53,8 @@ class Config {
 
   bool has(const std::string& key) const;
 
-  /// Typed getters; the non-defaulted forms abort on a missing key.
+  /// Typed getters; the non-defaulted forms throw ConfigError on a missing
+  /// key. Numbers parse strictly: trailing garbage ("5x") is an error.
   std::string get_string(const std::string& key) const;
   std::string get_string(const std::string& key, const std::string& dflt) const;
   long long get_int(const std::string& key) const;
@@ -40,6 +63,16 @@ class Config {
   double get_double(const std::string& key, double dflt) const;
   bool get_bool(const std::string& key) const;
   bool get_bool(const std::string& key, bool dflt) const;
+
+  /// Comma-separated lists ("a,b,c"; an empty value is an empty list), or
+  /// `dflt`'s entries when the key is absent. Each number entry obeys the
+  /// same strict rules as get_int/get_double.
+  std::vector<std::string> get_list(const std::string& key,
+                                    const std::string& dflt) const;
+  std::vector<long long> get_int_list(const std::string& key,
+                                      const std::string& dflt) const;
+  std::vector<double> get_double_list(const std::string& key,
+                                      const std::string& dflt) const;
 
   /// Parses "key=value" tokens (argv style); ignores tokens without '='.
   void parse_args(int argc, char** argv);
@@ -54,9 +87,9 @@ class Config {
   std::string to_string() const;
 
   /// Usage-error text naming the first kRetiredConfigKeys entry that is
-  /// set, or "" when none is. Unknown keys are otherwise ignored, so
-  /// drivers check this first: a stale `procs=2` must fail, not run
-  /// serially.
+  /// set and its reason, or "" when none is. Unknown keys are otherwise
+  /// ignored, so parse_run_options checks this first: a stale `procs=2`
+  /// must fail, not run serially.
   std::string retired_key_error() const;
 
  private:

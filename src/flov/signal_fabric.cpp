@@ -1,7 +1,5 @@
 #include "flov/signal_fabric.hpp"
 
-#include <algorithm>
-
 #include "common/log.hpp"
 #include "fault/fault_injector.hpp"
 #include "telemetry/trace.hpp"
@@ -69,18 +67,20 @@ void SignalFabric::send(Cycle now, const HsMessage& msg) {
 
 void SignalFabric::step(Cycle now) {
   FLOV_CHECK(handler_ != nullptr, "signal fabric without handler");
-  // Deliveries may enqueue forwarded copies (deliver_at = now + 1), which
-  // must not be processed this cycle.
-  std::deque<InFlight> due;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->deliver_at <= now) {
-      due.push_back(*it);
-      it = queue_.erase(it);
+  // Split the due signals off in queue order and compact the rest in
+  // place. Deliveries may enqueue forwarded copies (deliver_at = now + 1)
+  // onto queue_, which must not be processed this cycle.
+  due_.clear();
+  std::size_t kept = 0;
+  for (const InFlight& f : queue_) {
+    if (f.deliver_at <= now) {
+      due_.push_back(f);
     } else {
-      ++it;
+      queue_[kept++] = f;
     }
   }
-  for (const InFlight& f : due) {
+  queue_.resize(kept);
+  for (const InFlight& f : due_) {
     const bool absorbed = handler_(f.next, f.msg);
     if (absorbed) continue;
     const NodeId next = geom_.neighbor(f.next, f.msg.travel);

@@ -8,8 +8,8 @@
 // behaviour without any router seeing non-local state.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/geometry.hpp"
 #include "flov/handshake_signals.hpp"
@@ -59,7 +59,10 @@ class SignalFabric {
   Handler handler_;
   FaultInjector* fault_ = nullptr;
   /// Unsorted when delay faults are armed; step() scans the whole queue.
-  std::deque<InFlight> queue_;
+  std::vector<InFlight> queue_;
+  /// step()'s due list, kept across cycles so a quiet cycle allocates
+  /// nothing.
+  std::vector<InFlight> due_;
 };
 
 }  // namespace flov

@@ -1,10 +1,10 @@
 // Network configuration parameters (the paper's Table I defaults).
 #pragma once
 
+#include <cstdio>
 #include <string>
 
 #include "common/config.hpp"
-#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace flov {
@@ -80,16 +80,15 @@ struct NocParams {
 
   /// Applies the CLI shorthand `tiles=TXxTY` (e.g. "2x4" = 2 tile columns
   /// x 4 tile rows) to step_tiles_x/step_tiles_y. Empty string = no-op, so
-  /// callers can pass cfg.get_string("tiles", "") unconditionally.
+  /// callers can pass cfg.get_string("tiles", "") unconditionally; a
+  /// malformed value throws ConfigError.
   void apply_tiles_shorthand(const std::string& s) {
     if (s.empty()) return;
-    const std::size_t sep = s.find('x');
-    FLOV_CHECK(sep != std::string::npos && sep > 0 && sep + 1 < s.size(),
-               "tiles= expects TXxTY, e.g. tiles=2x4");
-    step_tiles_x = std::stoi(s.substr(0, sep));
-    step_tiles_y = std::stoi(s.substr(sep + 1));
-    FLOV_CHECK(step_tiles_x >= 1 && step_tiles_y >= 1,
-               "tiles= components must be >= 1");
+    char tail = 0;
+    if (std::sscanf(s.c_str(), "%dx%d%c", &step_tiles_x, &step_tiles_y,
+                    &tail) != 2 || step_tiles_x < 1 || step_tiles_y < 1) {
+      throw ConfigError("config key tiles expects TXxTY, both >= 1: " + s);
+    }
   }
 
   int total_vcs() const { return num_vnets * vcs_per_vnet; }
@@ -99,8 +98,9 @@ struct NocParams {
     return escape_vc >= 0 && vc_in_vnet(vc) == escape_vc;
   }
 
-  static NocParams from_config(const Config& cfg) {
-    NocParams p;
+  static NocParams from_config(const Config& c) { return from_config(c, {}); }
+  /// `p` overlaid with every noc.* key that is set.
+  static NocParams from_config(const Config& cfg, NocParams p) {
     p.width = static_cast<int>(cfg.get_int("noc.width", p.width));
     p.height = static_cast<int>(cfg.get_int("noc.height", p.height));
     p.num_vnets = static_cast<int>(cfg.get_int("noc.num_vnets", p.num_vnets));
@@ -148,21 +148,25 @@ struct NocParams {
     return p;
   }
 
+  /// Throws ConfigError naming the noc.* key of the first bad field.
   void validate() const {
-    FLOV_CHECK(width >= 2 && height >= 2, "mesh must be at least 2x2");
-    FLOV_CHECK(num_vnets >= 1, "need at least one vnet");
-    FLOV_CHECK(vcs_per_vnet >= 1, "need at least one VC per vnet");
-    FLOV_CHECK(escape_vc < vcs_per_vnet, "escape VC out of range");
-    FLOV_CHECK(buffer_depth >= 1, "buffer depth must be positive");
-    FLOV_CHECK(packet_size >= 1, "packet size must be positive");
-    FLOV_CHECK(latency_hist_max >= 1, "latency histogram cap must be >= 1");
-    FLOV_CHECK(step_threads >= 1, "step_threads must be >= 1");
-    FLOV_CHECK(step_tiles_x >= 0 && step_tiles_y >= 0,
-               "step_tiles must be >= 0 (0 = auto)");
-    FLOV_CHECK(retx_timeout >= 1, "retransmit timeout must be >= 1 cycle");
-    FLOV_CHECK(retx_backoff_cap >= 0 && retx_backoff_cap < 32,
-               "retransmit backoff cap out of range");
-    FLOV_CHECK(retx_limit >= 0, "retransmit limit must be >= 0");
+    const auto require = [](bool ok, const char* msg) {
+      if (!ok) throw ConfigError(msg);
+    };
+    require(width >= 2 && height >= 2, "noc.width/height: mesh below 2x2");
+    require(num_vnets >= 1, "noc.num_vnets must be >= 1");
+    require(vcs_per_vnet >= 1, "noc.vcs_per_vnet must be >= 1");
+    require(escape_vc < vcs_per_vnet, "noc.escape_vc out of range");
+    require(buffer_depth >= 1, "noc.buffer_depth must be >= 1");
+    require(packet_size >= 1, "noc.packet_size must be >= 1");
+    require(latency_hist_max >= 1, "noc.latency_hist_max must be >= 1");
+    require(step_threads >= 1, "threads/noc.step_threads must be >= 1");
+    require(step_tiles_x >= 0 && step_tiles_y >= 0,
+            "noc.step_tiles_x/y must be >= 0 (0 = auto)");
+    require(retx_timeout >= 1, "noc.retx_timeout must be >= 1 cycle");
+    require(retx_backoff_cap >= 0 && retx_backoff_cap < 32,
+            "noc.retx_backoff_cap out of range");
+    require(retx_limit >= 0, "noc.retx_limit must be >= 0");
   }
 };
 

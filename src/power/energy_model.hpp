@@ -88,8 +88,12 @@ struct EnergyParams {
 
   double clock_freq_ghz = 2.0;
 
-  /// Reads overrides from keys "energy.<field>" (e.g. "energy.link_pj").
-  static EnergyParams from_config(const Config& cfg);
+  /// `p` overlaid with every "energy.<field>" key that is set (e.g.
+  /// "energy.link_pj").
+  static EnergyParams from_config(const Config& cfg, EnergyParams p);
+  static EnergyParams from_config(const Config& c) {
+    return from_config(c, {});
+  }
 
   /// Energy in pJ for one event.
   double event_pj(EnergyEvent e) const;

@@ -1,6 +1,5 @@
 #include "sim/builder.hpp"
 
-#include "common/log.hpp"
 #include "flov/flov_network.hpp"
 #include "rp/rp_network.hpp"
 #include "sim/baseline_network.hpp"
@@ -22,8 +21,8 @@ Scheme scheme_from_string(const std::string& name) {
   if (name == "rflov" || name == "rFLOV") return Scheme::kRFlov;
   if (name == "gflov" || name == "gFLOV") return Scheme::kGFlov;
   if (name == "rp" || name == "RP") return Scheme::kRp;
-  FLOV_CHECK(false, "unknown scheme: " + name);
-  return Scheme::kBaseline;
+  throw ConfigError("unknown scheme: " + name +
+                    " (baseline | rp | rflov | gflov)");
 }
 
 BuiltSystem build_system(Scheme scheme, const NocParams& params,

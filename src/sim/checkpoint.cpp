@@ -53,9 +53,9 @@ std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg) {
                       (cfg.verifier.fatal ? 8 : 0));
   h = hash_mix(h, cfg.telemetry.metrics_window);
 
-  // step_threads and step_tiles_x/y excluded: volatile knobs — any tiling
-  // or threading is bit-identical to serial, so a checkpoint taken at
-  // threads=8 must resume cleanly at threads=1 (and any tiles=).
+  // step_threads and step_tiles_x/y excluded: they are set only by keys of
+  // kVolatileConfigKeys (sim/run_options.hpp), so a checkpoint taken at
+  // threads=8 resumes cleanly at threads=1 (and any tiles=).
   const NocParams& n = cfg.noc;
   h = hash_mix(h, static_cast<std::uint64_t>(n.width));
   h = hash_mix(h, static_cast<std::uint64_t>(n.height));

@@ -33,8 +33,9 @@
 namespace flov {
 
 /// Order- and thread-independent hash of every config field that can
-/// influence a point's results (noc/energy/fault/traffic/verifier knobs;
-/// noc.step_threads and trace options are volatile and excluded).
+/// influence a point's results (noc/energy/fault/traffic/verifier knobs).
+/// No field a kVolatileConfigKeys key sets (sim/run_options.hpp) is read,
+/// nor the trace options.
 std::uint64_t sweep_point_fingerprint(const SyntheticExperimentConfig& cfg);
 
 /// Raw-state registry serialization (see header comment). Restoring the

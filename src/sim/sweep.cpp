@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
 
-#include "common/backoff.hpp"
 #include "common/log.hpp"
 #include "sim/checkpoint.hpp"
+#include "telemetry/manifest.hpp"
 
 namespace flov {
 
@@ -127,19 +126,7 @@ std::vector<RunResult> run_sweep(
   auto body = [&](int k) {
     const std::size_t i =
         static_cast<std::size_t>(pending[static_cast<std::size_t>(k)]);
-    for (int attempt = 0;; ++attempt) {
-      try {
-        results[i] = run_synthetic(points[i]);
-        break;
-      } catch (const std::exception&) {
-        if (attempt >= opts.retries) throw;
-        if (opts.retry_backoff_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              backoff_shift(static_cast<std::uint64_t>(opts.retry_backoff_ms),
-                            attempt, 10)));
-        }
-      }
-    }
+    results[i] = run_synthetic(points[i]);
     if (ck) {
       const std::string line = encode_sweep_checkpoint_line(
           static_cast<int>(i), points[i], results[i]);
@@ -173,6 +160,33 @@ telemetry::MetricsRegistry merge_sweep_metrics(
     if (r.metrics) merged.merge(*r.metrics);
   }
   return merged;
+}
+
+void write_sweep_manifest(const std::string& path, const std::string& name,
+                          const Config& config, int jobs, double wall_seconds,
+                          const std::vector<SyntheticExperimentConfig>& points,
+                          const std::vector<RunResult>& results) {
+  FLOV_CHECK(points.size() == results.size(), "one result per point");
+  const telemetry::MetricsRegistry merged = merge_sweep_metrics(results);
+  telemetry::StructuredSink incidents;
+  telemetry::SweepManifest m;
+  m.name = name;
+  m.config = config;
+  m.jobs = jobs;
+  m.wall_seconds = wall_seconds;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    m.points.push_back({results[i].scheme, points[i].pattern,
+                        points[i].inj_rate_flits, points[i].gated_fraction,
+                        points[i].seed, results[i].metrics.get()});
+    if (results[i].incidents) {
+      for (const std::string& rec : results[i].incidents->records()) {
+        incidents.add(rec);
+      }
+    }
+  }
+  m.merged = &merged;
+  m.incidents = &incidents;
+  m.write(path);
 }
 
 }  // namespace flov

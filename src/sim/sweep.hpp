@@ -27,13 +27,6 @@ struct SweepOptions {
   std::function<void(int done, int total)> progress;
 
   // --- self-healing (sim/checkpoint.hpp) ---
-  /// Extra attempts for a point whose run threw a std::exception, with
-  /// capped exponential backoff (retry_backoff_ms << attempt, attempt
-  /// capped at 10) between attempts. 0 = fail fast (the historic
-  /// behaviour). Aborts (FLOV_CHECK) are process-fatal and NOT retried —
-  /// those are what the checkpoint file is for.
-  int retries = 0;
-  int retry_backoff_ms = 0;
   /// JSONL checkpoint: one lossless line appended (and flushed) per
   /// completed point, so a killed sweep can resume. "" = no checkpointing.
   std::string checkpoint_path;
@@ -78,5 +71,15 @@ std::vector<RunResult> run_sweep(
 /// serialized from it — is byte-identical between jobs=1 and jobs=N.
 telemetry::MetricsRegistry merge_sweep_metrics(
     const std::vector<RunResult>& results);
+
+/// Writes a finished sweep's flyover-sweep-manifest-v1 to `path`: one entry
+/// per point (`results` index-aligned with `points`, as run_sweep returns
+/// them), the merged registry, and every point's incidents in submission
+/// order. `config` is the manifest config (run_options.hpp
+/// manifest_config); `jobs` and `wall_seconds` are its volatile fields.
+void write_sweep_manifest(const std::string& path, const std::string& name,
+                          const Config& config, int jobs, double wall_seconds,
+                          const std::vector<SyntheticExperimentConfig>& points,
+                          const std::vector<RunResult>& results);
 
 }  // namespace flov

@@ -11,7 +11,9 @@
 // Volatile fields (wall_seconds, jobs, trace_path) are the ONLY fields
 // allowed to differ between a serial and a parallel sweep of the same
 // configuration; scripts/validate_telemetry.py --diff-manifests strips
-// exactly those before comparing byte-for-byte.
+// exactly those before comparing byte-for-byte. Volatile config keys are
+// dropped before a config reaches a manifest: the one list of them is
+// kVolatileConfigKeys in sim/run_options.hpp.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +88,7 @@ struct CertifiedMetric {
 /// function of (config, seed_base, stopping parameters), so two campaigns
 /// over the same inputs emit byte-identical certificates regardless of
 /// jobs= or kill-and-resume (validate_telemetry.py --diff-manifests strips
-/// exactly jobs/wall_seconds before comparing).
+/// the volatile fields before comparing).
 struct CertificateManifest {
   std::string schema = "flyover-certificate-v1";
   std::string name;

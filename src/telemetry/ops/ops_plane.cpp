@@ -295,4 +295,30 @@ HttpResponse OpsPlane::handle(const std::string& path) const {
   return r;
 }
 
+CampaignReport start_campaign(const Config& cfg, const std::string& kind,
+                              const std::string& unit, std::uint64_t total,
+                              const std::string& checkpoint) {
+  CampaignReport r;
+  const OpsOptions opt = OpsOptions::from_config(cfg);
+  if (opt.any()) {
+    r.plane = std::make_unique<OpsPlane>(opt);
+    r.plane->begin_campaign(kind, total, checkpoint);
+  }
+  // Full lines (no \r animation) with identical content for a given
+  // done/total, so logs diff cleanly across jobs= and kill-and-resume runs.
+  // Off by default to keep batch stderr quiet.
+  const bool show = cfg.get_bool("progress", false);
+  if (!show && !r.plane) return r;
+  r.progress = [show, plane = r.plane.get(), kind, unit, checkpoint](
+                   std::uint64_t done, std::uint64_t n) {
+    if (plane != nullptr) plane->campaign_progress(done);
+    if (!show) return;
+    std::fprintf(stderr, "[%s] %llu/%llu %s%s%s\n", kind.c_str(),
+                 static_cast<unsigned long long>(done),
+                 static_cast<unsigned long long>(n), unit.c_str(),
+                 checkpoint.empty() ? "" : " checkpoint=", checkpoint.c_str());
+  };
+  return r;
+}
+
 }  // namespace flov::ops

@@ -162,4 +162,17 @@ class OpsPlane {
   std::uint64_t campaign_last_done_ = 0;
 };
 
+/// Campaign-mode reporting shared by the sweep and certify drivers: an ops
+/// plane (begun as a `kind` campaign over `total` units) when serve= /
+/// ops_stream= / profile= ask for one, and a progress callback that folds
+/// into it and, with progress=1, prints one deterministic stderr line per
+/// fold. Both stay empty when neither is asked for.
+struct CampaignReport {
+  std::unique_ptr<OpsPlane> plane;
+  std::function<void(std::uint64_t done, std::uint64_t total)> progress;
+};
+CampaignReport start_campaign(const Config& cfg, const std::string& kind,
+                              const std::string& unit, std::uint64_t total,
+                              const std::string& checkpoint);
+
 }  // namespace flov::ops

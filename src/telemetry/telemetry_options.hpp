@@ -23,9 +23,13 @@ struct TelemetryOptions {
   Cycle metrics_window = 0;
 
   static TelemetryOptions from_config(const Config& cfg) {
-    TelemetryOptions o;
-    o.trace_mask =
-        trace_mask_from_string(cfg.get_string("telemetry.trace", ""));
+    return from_config(cfg, TelemetryOptions{});
+  }
+  /// `o` overlaid with every telemetry.* key that is set.
+  static TelemetryOptions from_config(const Config& cfg, TelemetryOptions o) {
+    if (cfg.has("telemetry.trace")) {
+      o.trace_mask = trace_mask_from_string(cfg.get_string("telemetry.trace"));
+    }
     o.trace_capacity = static_cast<std::size_t>(cfg.get_int(
         "telemetry.trace_capacity", static_cast<long long>(o.trace_capacity)));
     o.metrics_window =

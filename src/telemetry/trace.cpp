@@ -4,7 +4,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "telemetry/json.hpp"
 
@@ -88,11 +90,8 @@ std::uint32_t trace_mask_from_string(const std::string& spec) {
     return static_cast<std::uint32_t>(std::strtoul(spec.c_str(), nullptr, 0));
   }
   std::uint32_t mask = 0;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string tok =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
+  std::istringstream is(spec);
+  for (std::string tok; std::getline(is, tok, ',');) {
     if (tok == "flit") mask |= kTraceFlit;
     else if (tok == "handshake") mask |= kTraceHandshake;
     else if (tok == "power") mask |= kTracePower;
@@ -100,9 +99,7 @@ std::uint32_t trace_mask_from_string(const std::string& spec) {
     else if (tok == "recovery") mask |= kTraceRecovery;
     else if (tok == "fault") mask |= kTraceFault;
     else if (tok == "verify") mask |= kTraceVerify;
-    else FLOV_CHECK(false, "unknown trace category: " + tok);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    else throw ConfigError("config key telemetry.trace: bad category " + tok);
   }
   return mask;
 }

@@ -88,7 +88,10 @@ struct VerifierOptions {
   telemetry::StructuredSink* sink = nullptr;
 
   static VerifierOptions from_config(const Config& cfg) {
-    VerifierOptions o;
+    return from_config(cfg, VerifierOptions{});
+  }
+  /// `o` overlaid with every verify.* key that is set.
+  static VerifierOptions from_config(const Config& cfg, VerifierOptions o) {
     o.check_interval = cfg.get_int("verify.check_interval", o.check_interval);
     o.settle_window = cfg.get_int("verify.settle_window", o.settle_window);
     o.check_conservation =
